@@ -343,6 +343,14 @@ impl SearchRequest {
                 return Err(RequestError::BadMaxDist(d));
             }
         }
+        self.validate_target()
+    }
+
+    /// The `target_recall` half of [`validate`](Self::validate): the
+    /// target lies in `(0, 1]` and no knob was set explicitly. Serving
+    /// layers call it on its own because they resolve a target into
+    /// knobs *before* the row count is checked.
+    pub fn validate_target(&self) -> Result<(), RequestError> {
         if let Some(t) = self.target_recall {
             if !t.is_finite() || t <= 0.0 || t > 1.0 {
                 return Err(RequestError::BadTargetRecall(t));

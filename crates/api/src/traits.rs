@@ -44,16 +44,6 @@ impl SearchParams {
     pub fn new(k: usize, budget: usize) -> Self {
         Self { k, budget, probes: 0 }
     }
-
-    /// Sets the probe count (multi-probe schemes only).
-    #[deprecated(
-        note = "positional-knob builders were the footgun the SearchRequest redesign removed; \
-                use SearchRequest::top_k(k).budget(b).probes(p).params() instead"
-    )]
-    pub fn with_probes(mut self, probes: usize) -> Self {
-        self.probes = probes;
-        self
-    }
 }
 
 /// Opaque per-thread query scratch.
@@ -334,13 +324,9 @@ mod tests {
 
     #[test]
     fn search_params_builder() {
-        #[allow(deprecated)]
-        let p = SearchParams::new(10, 128).with_probes(65);
+        let p = SearchRequest::top_k(10).budget(128).probes(65).params();
         assert_eq!((p.k, p.budget, p.probes), (10, 128, 65));
-        // The replacement path produces the same triple without the
-        // positional footgun.
-        let q = SearchRequest::top_k(10).budget(128).probes(65).params();
-        assert_eq!(p, q);
+        assert_eq!(SearchParams::new(10, 128), SearchParams { probes: 0, ..p });
     }
 
     /// A deterministic toy index over the 1-d points `0, 1, …, n-1`

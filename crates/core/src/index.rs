@@ -205,7 +205,8 @@ impl LccsLsh {
         self.query_with(q, k, lambda, &mut scratch)
     }
 
-    /// c-k-ANNS query reusing scratch.
+    /// c-k-ANNS query reusing scratch: [`LccsLsh::search_request`] with a
+    /// knob-only request (no filter, no threshold).
     ///
     /// # Panics
     /// Panics if `k == 0` or `q` has the wrong dimension.
@@ -216,14 +217,8 @@ impl LccsLsh {
         lambda: usize,
         scratch: &mut QueryScratch,
     ) -> QueryOutput {
-        assert!(k > 0, "k must be positive");
-        assert_eq!(q.len(), self.data.dim(), "query dimension mismatch");
-        let budget = lambda.max(1) + k - 1;
-        scratch.hash.clear();
-        scratch.hash.extend(hash_query(&self.funcs, q));
-        let (cands, _anchors) = self.csa.search_with(&scratch.hash, budget, &mut scratch.csa);
-        let neighbors = self.verify(q, k, cands.iter().map(|c| c.id));
-        QueryOutput { verified: cands.len(), neighbors }
+        let resp = self.search_request(q, &SearchRequest::top_k(k).budget(lambda), scratch);
+        QueryOutput { verified: resp.stats.candidates_scanned as usize, neighbors: resp.hits }
     }
 
     /// Answers a whole query set in parallel through the workspace batch
@@ -253,55 +248,13 @@ impl LccsLsh {
         sq.pruner(q, self.metric)
     }
 
-    /// Verification phase: exact distances for the candidate ids, keep the
-    /// nearest `k` (ascending by distance, ties by id).
-    pub(crate) fn verify(
-        &self,
-        q: &[f32],
-        k: usize,
-        ids: impl Iterator<Item = u32>,
-    ) -> Vec<Neighbor> {
-        let mut pruner = self.pruner_for(q);
-        let mut heap: std::collections::BinaryHeap<Neighbor> =
-            std::collections::BinaryHeap::with_capacity(k + 1);
-        for id in ids {
-            // SQ8 skip bound: a candidate provably farther than the
-            // current k-th distance never pays the full-width scan.
-            // The bound is sound, so the answer set is unchanged.
-            if heap.len() == k {
-                if let Some(p) = pruner.as_mut() {
-                    if p.skips(id as usize, heap.peek().expect("non-empty").dist) {
-                        continue;
-                    }
-                }
-            }
-            // The query dimension is asserted once per query in
-            // `query_with`; the per-candidate check stays debug-only.
-            let s = self.metric.surrogate_unchecked(self.data.get(id as usize), q);
-            let cand = Neighbor { id, dist: s };
-            if heap.len() < k {
-                heap.push(cand);
-            } else if cand < *heap.peek().expect("non-empty") {
-                heap.pop();
-                heap.push(cand);
-            }
-        }
-        let mut out = heap.into_sorted_vec();
-        for n in &mut out {
-            n.dist = self.metric.from_surrogate(n.dist);
-        }
-        out
-    }
-
-    /// Verification phase honoring a [`SearchRequest`]'s id filter and
-    /// distance threshold *inside* the candidate loop: a candidate the
-    /// filter rejects (or whose true distance exceeds `max_dist`) never
-    /// consumes a heap slot, so the k matching rows the λ candidates
-    /// contain always survive — post-hoc filtering could evict them.
-    ///
-    /// With no filter and no threshold this is exactly [`LccsLsh::verify`]
-    /// (same heap, same tie-breaking), which keeps the plain-top-k wire
-    /// path byte-identical to the legacy QUERY path.
+    /// Verification phase (§4.1): exact distances for the candidate ids,
+    /// keep the nearest `k` (ascending by distance, ties by id). The
+    /// [`SearchRequest`]'s id filter and distance threshold are honored
+    /// *inside* the candidate loop: a candidate the filter rejects (or
+    /// whose true distance exceeds `max_dist`) never consumes a heap
+    /// slot, so the k matching rows the λ candidates contain always
+    /// survive — post-hoc filtering could evict them.
     ///
     /// Returns the hits and exact [`SearchStats`] counts (wall time is
     /// filled in by the caller, which owns the whole-query clock).

@@ -222,8 +222,9 @@ impl MpLccsLsh {
         self.query_probes(q, k, lambda, self.mp.probes, scratch)
     }
 
-    /// [`MpLccsLsh::query_with`] with a query-time `#probes` override — lets
-    /// the harness sweep the Figure 10 probe counts on one built index.
+    /// [`MpLccsLsh::query_with`] with a query-time `#probes` override
+    /// (`0` = the build-time default) — lets the harness sweep the
+    /// Figure 10 probe counts on one built index.
     pub fn query_probes(
         &self,
         q: &[f32],
@@ -232,17 +233,16 @@ impl MpLccsLsh {
         probes: usize,
         scratch: &mut QueryScratch,
     ) -> QueryOutput {
-        let cands = self.probe_candidates(q, k, lambda, probes, scratch);
-        let neighbors = self.inner.verify(q, k, cands.iter().map(|c| c.id));
-        QueryOutput { verified: cands.len(), neighbors }
+        let req = ann::SearchRequest::top_k(k).budget(lambda).probes(probes);
+        let resp = self.search_request(q, &req, scratch);
+        QueryOutput { verified: resp.stats.candidates_scanned as usize, neighbors: resp.hits }
     }
 
     /// Answers one [`ann::SearchRequest`]: the probe sequence collects
-    /// candidates exactly as [`MpLccsLsh::query_probes`] does (the
-    /// request's `probes = 0` falls back to the build-time default), then
-    /// the shared filtered verification applies the id filter and the
-    /// distance threshold inside the loop. Implementation behind the
-    /// scheme's [`ann::AnnIndex::search_with`] override.
+    /// candidates (the request's `probes = 0` falls back to the
+    /// build-time default), then the shared verification applies the id
+    /// filter and the distance threshold inside the loop. Implementation
+    /// behind the scheme's [`ann::AnnIndex::search_with`] override.
     ///
     /// # Panics
     /// Panics if `req.k == 0` or `q` has the wrong dimension.
@@ -261,10 +261,9 @@ impl MpLccsLsh {
         ann::SearchResponse { hits, stats }
     }
 
-    /// The search phase shared by [`MpLccsLsh::query_probes`] and
-    /// [`MpLccsLsh::search_request`]: the unperturbed λ-LCCS probe plus up
-    /// to `probes − 1` perturbed probes, stopping once the `λ + k − 1`
-    /// budget is filled.
+    /// The search phase of [`MpLccsLsh::search_request`]: the unperturbed
+    /// λ-LCCS probe plus up to `probes − 1` perturbed probes, stopping
+    /// once the `λ + k − 1` budget is filled.
     fn probe_candidates(
         &self,
         q: &[f32],

@@ -81,11 +81,7 @@ impl AnnIndex for MpLccsLsh {
             |s: &QueryScratch| s.csa.capacity() == self.inner().data().len(),
             || self.scratch(),
         );
-        if p.probes == 0 {
-            MpLccsLsh::query_with(self, q, p.k, p.budget, s).neighbors
-        } else {
-            self.query_probes(q, p.k, p.budget, p.probes, s).neighbors
-        }
+        self.query_probes(q, p.k, p.budget, p.probes, s).neighbors
     }
 
     /// Overrides the default post-hoc path with the probe-sequence search

@@ -20,8 +20,8 @@
 //!   only lock.
 //!
 //! Everything is deliberately `std`-only and cheap enough to leave on:
-//! the serving bench pins instrumented search within 5% of the
-//! uninstrumented baseline (`BENCH_serve.json`).
+//! the repo's benchmark tracks traced vs untraced query latency as
+//! `trace_overhead_pct` (`BENCHMARK.json`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -415,7 +415,9 @@ impl Catalog {
         )
     }
 
-    fn install_backend(
+    /// Inserts or replaces an entry of either kind (the tail every BUILD
+    /// shares). Returns whether an entry was replaced.
+    pub(crate) fn install_backend(
         &mut self,
         name: String,
         method: String,

@@ -30,9 +30,14 @@
 //!   through `eval::registry` by method name, extended by BUILD installs;
 //!   entries are static (frozen) or live (mutable).
 //! * [`protocol`] — the wire format: framing, requests, responses.
-//! * [`server`] — the worker-pool serving loop behind the `annd` binary:
-//!   one scratch per (worker, index), batches through the parallel
-//!   executor, per-index latency counters, cooperative shutdown.
+//! * `service` (private) — the one connection loop both `annd` modes
+//!   run: accept poll, worker pool, framing, trace minting, request
+//!   logs, cooperative shutdown; [`server`] and [`router`] are the two
+//!   `Service` implementations it calls.
+//! * [`server`] — the single-node service behind the `annd` binary: one
+//!   read handler for QUERY/BATCH/SEARCH, one scratch per (worker,
+//!   index), batches through the parallel executor, per-index latency
+//!   counters, the durable write path.
 //! * [`client`] — the blocking client behind `ann-cli`, the tests, and
 //!   the router's shard pool (pooled connections, reconnect-on-EOF with
 //!   one retry for idempotent requests).
@@ -74,6 +79,7 @@ pub mod placement;
 pub mod protocol;
 pub mod router;
 pub mod server;
+mod service;
 pub mod snapshot;
 pub mod stats;
 mod wire;

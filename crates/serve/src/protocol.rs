@@ -12,7 +12,7 @@
 //! garbage or hostile peer cannot make the server allocate unboundedly.
 
 use crate::wire::Reader;
-use ann::{IdFilter, PlanChoice, SearchStats};
+use ann::{IdFilter, PlanChoice, SearchRequest, SearchStats};
 use dataset::exact::Neighbor;
 use obs::TraceContext;
 use std::io::{self, Read, Write};
@@ -620,6 +620,22 @@ impl Request {
         }
     }
 
+    /// The catalog entry the request targets, for log fields (`None` for
+    /// catalog-wide requests like LIST/STATS/METRICS).
+    pub fn index(&self) -> Option<&str> {
+        match self {
+            Request::Query { index, .. }
+            | Request::Batch { index, .. }
+            | Request::Search { index, .. }
+            | Request::Insert { index, .. }
+            | Request::Delete { index, .. }
+            | Request::Calibrate { index, .. }
+            | Request::Flush { index } => Some(index),
+            Request::Build { name, .. } => Some(name),
+            _ => None,
+        }
+    }
+
     /// Decodes a frame body, discarding any trace section.
     pub fn decode(body: &[u8]) -> Result<Request, ProtoError> {
         Self::decode_traced(body).map(|(req, _)| req)
@@ -755,6 +771,130 @@ impl Request {
         let trace = get_trace(&mut r)?;
         finish(&r)?;
         Ok((req, trace))
+    }
+}
+
+/// Which response variant carries a read's complete answer back.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ReplyShape {
+    /// [`Response::Neighbors`], for [`Request::Query`].
+    Neighbors,
+    /// [`Response::Batch`], for [`Request::Batch`].
+    Batch,
+    /// [`Response::Search`], for [`Request::Search`].
+    Search,
+}
+
+/// A decoded read, whichever of the three read opcodes carried it: the
+/// one place wire fields become a [`SearchRequest`]. QUERY and BATCH are
+/// SEARCHes with no optional sections, so the server and the router
+/// each need a single read handler.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ReadRequest {
+    /// Catalog name of the target index.
+    pub index: String,
+    /// The question every query row asks.
+    pub request: SearchRequest,
+    /// Dimensionality of each query row.
+    pub dim: usize,
+    /// Row-major query payload: one row for QUERY/SEARCH, `nq` for BATCH.
+    pub vectors: Vec<f32>,
+    /// How the answer travels back.
+    pub reply: ReplyShape,
+}
+
+impl ReadRequest {
+    /// `Some` for the three read opcodes, `None` for everything else.
+    pub fn from_wire(req: Request) -> Option<ReadRequest> {
+        let knobs = |k: u32, budget: u32, probes: u32| {
+            SearchRequest::top_k(k as usize).budget(budget as usize).probes(probes as usize)
+        };
+        Some(match req {
+            Request::Query { index, k, budget, probes, vector } => ReadRequest {
+                index,
+                request: knobs(k, budget, probes),
+                dim: vector.len(),
+                vectors: vector,
+                reply: ReplyShape::Neighbors,
+            },
+            Request::Batch { index, k, budget, probes, dim, vectors } => ReadRequest {
+                index,
+                request: knobs(k, budget, probes),
+                dim: dim as usize,
+                vectors,
+                reply: ReplyShape::Batch,
+            },
+            Request::Search {
+                index,
+                k,
+                budget,
+                probes,
+                filter,
+                max_dist,
+                want_stats,
+                target_recall,
+                vector,
+            } => {
+                let mut request = knobs(k, budget, probes);
+                request.filter = filter;
+                request.max_dist = max_dist;
+                request.fields.stats = want_stats;
+                if target_recall.is_some() {
+                    // A well-formed planned frame carries 0-sentinels for
+                    // both knobs; anything else counts as "explicit knobs"
+                    // so validation rejects the combination with exactly
+                    // the in-process error text.
+                    request.knobs_set = budget != 0 || probes != 0;
+                    request.target_recall = target_recall;
+                }
+                ReadRequest {
+                    index,
+                    request,
+                    dim: vector.len(),
+                    vectors: vector,
+                    reply: ReplyShape::Search,
+                }
+            }
+            _ => return None,
+        })
+    }
+
+    /// Query rows in the payload: one for QUERY/SEARCH, `nq` for BATCH.
+    pub fn rows(&self) -> usize {
+        match self.reply {
+            ReplyShape::Batch => self.vectors.len() / self.dim.max(1),
+            _ => 1,
+        }
+    }
+
+    /// A BATCH answer must fit one frame: `nq` lists of up to `k`
+    /// 12-byte neighbors each (`k ≤ rows` is validated separately).
+    pub fn check_reply_fits(&self) -> Result<(), String> {
+        if self.reply != ReplyShape::Batch {
+            return Ok(());
+        }
+        let (nq, k) = (self.rows(), self.request.k);
+        let resp_bytes = 5 + nq as u64 * (4 + 12 * k as u64);
+        if resp_bytes > MAX_FRAME as u64 {
+            return Err(format!(
+                "batch of {nq} queries at k={k} would need a {resp_bytes}-byte response, over \
+                 the {MAX_FRAME}-byte frame cap; split the batch"
+            ));
+        }
+        Ok(())
+    }
+}
+
+impl ReplyShape {
+    /// The complete (no shard missing) answer: one hit list per query
+    /// row in request order, plus the merged counters, which travel
+    /// only in a SEARCH reply whose request asked for them.
+    pub fn respond(self, mut lists: Vec<Vec<Neighbor>>, stats: Option<SearchStats>) -> Response {
+        match self {
+            ReplyShape::Batch => Response::Batch(lists),
+            ReplyShape::Neighbors => Response::Neighbors(lists.pop().unwrap_or_default()),
+            ReplyShape::Search => Response::Search { hits: lists.pop().unwrap_or_default(), stats },
+        }
     }
 }
 

@@ -43,28 +43,20 @@
 use crate::client::{Client, ClientError};
 use crate::placement::{Placement, PlacementTable};
 use crate::protocol::{
-    read_frame, write_frame, IndexInfo, Request, Response, StatsEntry, MAX_FRAME, MAX_NAME,
+    IndexInfo, ReadRequest, ReplyShape, Request, Response, StatsEntry, MAX_FRAME, MAX_NAME,
 };
+use crate::service::{Ctx, Listener, Service};
 use crate::stats::{hist_quantile, IndexStats};
-use ann::{SearchRequest, SearchStats};
+use ann::SearchStats;
 use dataset::exact::Neighbor;
 use dataset::Dataset;
-use obs::TraceContext;
 use std::collections::{BTreeMap, HashMap};
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, ToSocketAddrs};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Receiver, Sender};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, RwLock};
 use std::time::{Duration, Instant};
-
-/// Hygiene timeout on downstream-client reads (same rationale as the
-/// single-node server's).
-const READ_TIMEOUT: Duration = Duration::from_secs(30);
-
-/// Accept-loop poll interval (mirrors the single-node server).
-const ACCEPT_POLL: Duration = Duration::from_millis(10);
 
 /// Backoff between the two attempts at an unresponsive shard.
 const RETRY_BACKOFF: Duration = Duration::from_millis(50);
@@ -181,9 +173,7 @@ impl RouterConfig {
 /// A bound, not-yet-running router (the cluster-facing counterpart of
 /// [`crate::server::Server`]).
 pub struct Router {
-    listener: TcpListener,
-    workers: usize,
-    shutdown: Arc<AtomicBool>,
+    listener: Listener,
     state: RouterState,
 }
 
@@ -365,9 +355,7 @@ impl Router {
             .collect();
         let shard_obs = pools.iter().map(|p| ShardObs::new(&p.label)).collect();
         Ok(Router {
-            listener: TcpListener::bind(addr)?,
-            workers: workers.max(1),
-            shutdown: Arc::new(AtomicBool::new(false)),
+            listener: Listener::bind(addr, workers)?,
             state: RouterState {
                 pools,
                 require_all: config.require_all,
@@ -392,210 +380,72 @@ impl Router {
 
     /// The bound address (the real port when bound with port `0`).
     pub fn local_addr(&self) -> io::Result<SocketAddr> {
-        self.listener.local_addr()
+        Ok(self.listener.local_addr())
     }
 
     /// Serves until a SHUTDOWN request arrives, then drains and returns.
     /// Shards are *not* shut down — they are independent processes; stop
     /// them individually.
     pub fn run(self) -> io::Result<()> {
-        let local = self.local_addr()?;
-        self.listener.set_nonblocking(true)?;
-        let (tx, rx): (Sender<TcpStream>, Receiver<TcpStream>) = mpsc::channel();
-        let rx = Arc::new(Mutex::new(rx));
-        let state = &self.state;
-        let shutdown = &self.shutdown;
-        std::thread::scope(|scope| {
-            for _ in 0..self.workers {
-                let rx = rx.clone();
-                scope.spawn(move || {
-                    loop {
-                        let stream = {
-                            let guard = rx.lock().expect("receiver poisoned");
-                            guard.recv()
-                        };
-                        match stream {
-                            Ok(s) => handle_connection(s, state, shutdown, local),
-                            Err(_) => break,
-                        }
-                    }
-                });
-            }
-            loop {
-                if self.shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-                match self.listener.accept() {
-                    Ok((stream, _)) => {
-                        if stream.set_nonblocking(false).is_err() {
-                            continue;
-                        }
-                        if tx.send(stream).is_err() {
-                            break;
-                        }
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(ACCEPT_POLL);
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(e) => {
-                        obs::warn!("accept failed, retrying", error = e);
-                        std::thread::sleep(ACCEPT_POLL);
-                    }
-                }
-            }
-            drop(tx);
-        });
+        self.listener.serve(&self.state);
         Ok(())
     }
 }
 
-/// Connection ids for log correlation (shared with nothing — the
-/// router is its own process, so its sequence restarts at 1).
-static NEXT_CONN_ID: AtomicU64 = AtomicU64::new(1);
+impl Service for RouterState {
+    /// Routing keeps no per-thread state: connections to shards are
+    /// pooled per endpoint, not per worker.
+    type Worker = ();
 
-fn handle_connection(
-    mut stream: TcpStream,
-    state: &RouterState,
-    shutdown: &AtomicBool,
-    local: SocketAddr,
-) {
-    stream.set_nodelay(true).ok();
-    stream.set_read_timeout(Some(READ_TIMEOUT)).ok();
-    let conn = NEXT_CONN_ID.fetch_add(1, Ordering::Relaxed);
-    let peer = stream.peer_addr().map_or_else(|_| "?".to_string(), |a| a.to_string());
-    obs::debug!("connection open", conn = conn, peer = peer);
-    loop {
-        let body = match read_frame(&mut stream) {
-            Ok(Some(body)) => body,
-            Ok(None) => {
-                obs::debug!("connection closed", conn = conn);
-                return;
-            }
-            Err(e) => {
-                obs::debug!("connection dropped", conn = conn, error = e);
-                return;
-            }
-        };
-        let (resp, stop) = match Request::decode_traced(&body) {
-            Ok((req, trace)) => {
-                let ctx = trace.unwrap_or_else(TraceContext::mint);
-                let op = req.op_name();
-                let t0 = Instant::now();
-                let out = dispatch(req, ctx, state, shutdown, local);
-                obs::debug!(
-                    "request",
-                    conn = conn,
-                    trace = ctx,
-                    op = op,
-                    us = t0.elapsed().as_micros()
-                );
-                out
-            }
-            Err(e) => {
-                obs::warn!("bad request", conn = conn, peer = peer, error = e);
-                (Response::Error(format!("bad request: {e}")), true)
-            }
-        };
-        if write_frame(&mut stream, &resp.encode()).is_err() {
-            return;
-        }
-        if stop {
-            return;
-        }
-    }
-}
+    fn worker(&self) {}
 
-fn dispatch(
-    req: Request,
-    ctx: TraceContext,
-    state: &RouterState,
-    shutdown: &AtomicBool,
-    local: SocketAddr,
-) -> (Response, bool) {
-    match req {
-        Request::Ping => (Response::Pong, false),
-        Request::Shutdown => {
-            shutdown.store(true, Ordering::SeqCst);
-            let target: SocketAddr = if local.ip().is_unspecified() {
-                (std::net::Ipv4Addr::LOCALHOST, local.port()).into()
-            } else {
-                local
-            };
-            TcpStream::connect_timeout(&target, Duration::from_millis(100)).ok();
-            (Response::ShuttingDown, true)
-        }
-        Request::List => (state.route_list(), false),
-        Request::Stats => (state.route_stats(), false),
-        Request::Metrics => (state.route_metrics(), false),
-        Request::Query { index, k, budget, probes, vector } => (
-            state.route_search(
-                ctx, &index, k, budget, probes, None, None, false, None, &vector, false,
-            ),
-            false,
-        ),
-        Request::Search {
-            index,
-            k,
-            budget,
-            probes,
-            filter,
-            max_dist,
-            want_stats,
-            target_recall,
-            vector,
-        } => (
-            state.route_search(
-                ctx,
-                &index,
-                k,
-                budget,
-                probes,
-                filter,
-                max_dist,
-                want_stats,
-                target_recall,
-                &vector,
-                true,
-            ),
-            false,
-        ),
-        Request::Batch { index, k, budget, probes, dim, vectors } => {
-            (state.route_batch(ctx, &index, k, budget, probes, dim, vectors), false)
-        }
-        Request::Build {
-            name,
-            spec,
-            metric,
-            data_path,
-            limit,
-            live,
-            seal_threshold,
-            max_segments,
-            id_base,
-            id_step,
-        } => {
-            if (id_base, id_step) != (0, 1) {
-                return (
-                    Response::Error(
+    fn call(&self, req: Request, ctx: &Ctx, (): &mut ()) -> Response {
+        match req {
+            Request::Ping => Response::Pong,
+            // The connection loop raised the flag before calling in.
+            Request::Shutdown => Response::ShuttingDown,
+            Request::List => self.route_list(),
+            Request::Stats => self.route_stats(),
+            Request::Metrics => self.route_metrics(),
+            Request::Query { .. } | Request::Batch { .. } | Request::Search { .. } => {
+                let read = ReadRequest::from_wire(req).expect("matched a read opcode");
+                self.route_read(ctx, read).unwrap_or_else(Response::Error)
+            }
+            Request::Build {
+                name,
+                spec,
+                metric,
+                data_path,
+                limit,
+                live,
+                seal_threshold,
+                max_segments,
+                id_base,
+                id_step,
+            } => {
+                if (id_base, id_step) != (0, 1) {
+                    return Response::Error(
                         "the router owns the cluster id layout; BUILD without id_base/id_step"
                             .into(),
-                    ),
-                    false,
-                );
+                    );
+                }
+                self.route_build(
+                    &name,
+                    &spec,
+                    &metric,
+                    &data_path,
+                    limit,
+                    live,
+                    seal_threshold,
+                    max_segments,
+                )
             }
-            (
-                state.route_build(&name, &spec, &metric, &data_path, limit, live, seal_threshold, max_segments),
-                false,
-            )
-        }
-        Request::Insert { index, dim, vectors, ids } => {
-            (state.route_insert(&index, dim, vectors, ids), false)
-        }
-        Request::Delete { index, ids } => (state.route_delete(&index, &ids), false),
-        Request::Flush { index } => (state.route_flush(&index), false),
-        Request::Calibrate { index, sample, k } => {
-            (state.route_calibrate(&index, sample, k), false)
+            Request::Insert { index, dim, vectors, ids } => {
+                self.route_insert(&index, dim, vectors, ids)
+            }
+            Request::Delete { index, ids } => self.route_delete(&index, &ids),
+            Request::Flush { index } => self.route_flush(&index),
+            Request::Calibrate { index, sample, k } => self.route_calibrate(&index, sample, k),
         }
     }
 }
@@ -838,94 +688,78 @@ impl RouterState {
 
     // ------------------------------------------------------------ reads
 
-    /// The scatter-gather core behind QUERY and SEARCH (`wire_search`
-    /// picks the complete-answer response variant). Each shard call
-    /// carries a child of `ctx` on the wire and comes back with its
-    /// [`CallTiming`]; the whole scatter-gather is assembled into a
-    /// span tree that the slow-query log prints when the request runs
-    /// past `--slow-query-ms`.
-    #[allow(clippy::too_many_arguments)]
-    fn route_search(
-        &self,
-        ctx: TraceContext,
-        index: &str,
-        k: u32,
-        budget: u32,
-        probes: u32,
-        filter: Option<ann::IdFilter>,
-        max_dist: Option<f64>,
-        want_stats: bool,
-        target_recall: Option<f64>,
-        vector: &[f32],
-        wire_search: bool,
-    ) -> Response {
-        let Some(p) = self.placement_of(index) else {
-            return Response::Error(format!("no such index {index:?}"));
-        };
-        // Target validation mirrors the single-node server (where the
-        // plan resolves before the substituted request is checked), so
-        // the router answers bad targets with byte-identical text. The
-        // wire's 0-sentinel convention makes `budget|probes != 0` the
-        // explicit-knobs signal.
-        if let Some(t) = target_recall {
-            if !t.is_finite() || t <= 0.0 || t > 1.0 {
-                let e = ann::RequestError::BadTargetRecall(t);
-                return Response::Error(format!("index {index:?}: {e}"));
-            }
-            if budget != 0 || probes != 0 {
-                let e = ann::RequestError::TargetRecallWithKnobs;
-                return Response::Error(format!("index {index:?}: {e}"));
-            }
-        }
+    /// What every routed read settles before it fans out, in the
+    /// single-node server's order so a router in front of the same rows
+    /// answers a bad request with byte-identical text: placement, the
+    /// target-recall rule (on the server the plan resolves before the
+    /// substituted request is checked), request legality over the union
+    /// row count, the BATCH reply cap. Returns the per-shard row counts
+    /// and the shards worth asking (a shard known to be empty is
+    /// skipped). Unknown lengths (a shard was down during refresh) skip
+    /// the rows check — the shard's own validation still applies.
+    fn read_targets(&self, read: &ReadRequest) -> Result<(Vec<Option<u64>>, Vec<usize>), String> {
+        let (index, req) = (read.index.as_str(), &read.request);
+        let p = self.placement_of(index).ok_or_else(|| format!("no such index {index:?}"))?;
+        let invalid = |e: ann::RequestError| format!("index {index:?}: {e}");
+        req.validate_target().map_err(invalid)?;
         let lens = self.lens_of(index, p.mod_shards);
-        // Mirror single-node request legality over the union row count,
-        // so a router in front of the same rows answers bad requests
-        // with the same message. Unknown lengths (a shard was down
-        // during refresh) skip the rows check — the shard's own
-        // validation still applies.
-        let mut check = SearchRequest::top_k(k as usize);
-        check.max_dist = max_dist;
-        let total: u64 = lens.iter().map(|l| l.unwrap_or(0)).sum();
-        let rows =
-            if lens.iter().all(Option::is_some) { total as usize } else { usize::MAX };
-        if let Err(e) = check.validate(rows) {
-            return Response::Error(format!("index {index:?}: {e}"));
-        }
+        let rows = if lens.iter().all(Option::is_some) {
+            lens.iter().flatten().sum::<u64>() as usize
+        } else {
+            usize::MAX
+        };
+        req.validate(rows).map_err(invalid)?;
+        read.check_reply_fits()?;
+        let targets = (0..lens.len()).filter(|&s| lens[s].is_none_or(|n| n > 0)).collect();
+        Ok((lens, targets))
+    }
+
+    /// The scatter-gather core behind QUERY, BATCH and SEARCH. Each
+    /// shard call carries a child of the request's trace on the wire and
+    /// comes back with its [`CallTiming`]; the per-shard spans and the
+    /// merge span go to `ctx`, so the connection loop's slow-request log
+    /// prints the whole tree when the request runs past
+    /// `--slow-query-ms`.
+    fn route_read(&self, ctx: &Ctx, read: ReadRequest) -> Result<Response, String> {
+        let (lens, targets) = self.read_targets(&read)?;
+        let nq = read.rows();
+        let ReadRequest { index, request: req, dim, mut vectors, reply } = read;
+        let (index, k, trace) = (index.as_str(), req.k, ctx.trace);
         // The router-edge overload dial: step the target down toward
         // the floor against this process's end-to-end p99, then fan the
-        // *effective* target out. Each shard plans against its own
-        // calibration table (candidate sets are disjoint, so per-shard
-        // recall composes into cluster recall), and may step down again
+        // *effective* target out knob-less (the client encodes the 0/0
+        // sentinels), so each shard plans against its own calibration
+        // table (candidate sets are disjoint, so per-shard recall
+        // composes into cluster recall), and may step down again
         // against its own signals.
-        let effective = target_recall.map(|t| self.degrader.effective(t, self.stats.p99_micros()));
-        let edge_degraded = matches!((target_recall, effective), (Some(r), Some(e)) if e < r);
+        let effective =
+            req.target_recall.map(|t| self.degrader.effective(t, self.stats.p99_micros()));
+        let edge_degraded = matches!((req.target_recall, effective), (Some(r), Some(e)) if e < r);
+        let batch = (reply == ReplyShape::Batch)
+            .then(|| Dataset::from_flat("batch", dim, std::mem::take(&mut vectors)));
         let t0 = Instant::now();
-        let targets: Vec<usize> = (0..p.mod_shards as usize)
-            .filter(|&s| lens[s].is_none_or(|n| n > 0))
-            .collect();
         let results = self.fan_out_timed(&targets, false, |s, c| {
-            let k_s = lens[s].map_or(k as u64, |n| n.min(k as u64)) as usize;
-            let mut req = match effective {
-                // Planned mode: sentinel knobs ride the wire (the
-                // client encodes 0/0 when a target is set and no knobs
-                // are), so the shard plans locally.
-                Some(t) => SearchRequest::top_k(k_s).target_recall(t),
-                None => SearchRequest::top_k(k_s).budget(budget as usize).probes(probes as usize),
+            let mut shard_req = req.clone();
+            // Over-fetch at most what the shard holds (`validate`
+            // rejects `k > rows`).
+            shard_req.k = lens[s].map_or(k as u64, |n| n.min(k as u64)) as usize;
+            shard_req.target_recall = effective;
+            c.trace = Some(trace.child());
+            let out = match &batch {
+                Some(queries) => c
+                    .query_batch(index, shard_req.k, req.budget, req.probes, queries)
+                    .map(|lists| (lists, None)),
+                None => c.search(index, &vectors, &shard_req).map(|(hits, st)| (vec![hits], st)),
             };
-            req.filter = filter.clone();
-            req.max_dist = max_dist;
-            req.fields.stats = want_stats;
-            c.trace = Some(ctx.child());
-            let out = c.search(index, vector, &req);
             c.trace = None;
             out
         });
         let scatter_micros = t0.elapsed().as_micros() as u64;
         let merge_start = Instant::now();
-        let mut hits: Vec<Neighbor> = Vec::new();
+        let mut merged: Vec<Vec<Neighbor>> = vec![Vec::new(); nq];
         let mut stats = SearchStats::default();
         let mut missing = Vec::new();
-        let mut shard_spans: Vec<obs::SpanRecord> = Vec::new();
+        let mut spans: Vec<obs::SpanRecord> = Vec::with_capacity(targets.len() + 1);
         for (i, (result, timing)) in results.into_iter().enumerate() {
             let mut span = obs::SpanRecord::new(
                 self.pools[targets[i]].label.clone(),
@@ -937,138 +771,55 @@ impl RouterState {
             .field("rtt_us", timing.rtt_micros)
             .field("attempts", timing.attempts);
             match result {
-                Ok((shard_hits, shard_stats)) => {
-                    hits.extend(shard_hits);
+                Ok((lists, shard_stats)) => {
+                    for (slot, list) in merged.iter_mut().zip(lists) {
+                        slot.extend(list);
+                    }
                     if let Some(s) = shard_stats {
-                        stats.candidates_scanned += s.candidates_scanned;
-                        stats.heap_pushes += s.heap_pushes;
-                        // Cluster plan summary: worst-case knobs, most
-                        // pessimistic prediction — the binding shard.
-                        if let Some(sp) = s.plan {
-                            let agg = stats.plan.get_or_insert(sp);
-                            agg.budget = agg.budget.max(sp.budget);
-                            agg.probes = agg.probes.max(sp.probes);
-                            agg.predicted_recall = agg.predicted_recall.min(sp.predicted_recall);
-                            agg.effective_target = agg.effective_target.min(sp.effective_target);
-                        }
+                        // Counters sum; the cluster plan is the binding
+                        // shard's: worst-case knobs, most pessimistic
+                        // prediction.
+                        stats.absorb(&s);
                     }
                 }
                 Err(ShardError::Remote(msg)) => {
                     // Likely length drift (a write bypassed the router
                     // and our clamp overshot): refetch next time.
                     self.drop_lens(index);
-                    return Response::Error(msg);
+                    return Err(msg);
                 }
                 Err(ShardError::Down(label)) => {
                     span = span.field("down", &label);
                     missing.push(label);
                 }
             }
-            shard_spans.push(span);
-        }
-        hits.sort_unstable();
-        hits.truncate(k as usize);
-        let wall = t0.elapsed().as_micros() as u64;
-        self.stats.record_query(wall);
-        self.stats.record_scanned(stats.candidates_scanned);
-        self.stats.record_funnel(stats.heap_pushes, 0);
-        if target_recall.is_some() {
-            self.stats.record_planned(edge_degraded);
-        }
-        if obs::is_slow(wall) {
-            let op = if wire_search { "SEARCH" } else { "QUERY" };
-            let mut root = obs::SpanRecord::new(op, 0, wall).field("index", index);
-            for span in shard_spans {
-                root.push_child(span);
-            }
-            root.push_child(
-                obs::SpanRecord::new(
-                    "merge",
-                    scatter_micros,
-                    merge_start.elapsed().as_micros() as u64,
-                )
-                .field("hits", hits.len()),
-            );
-            obs::warn!("slow request", trace = ctx, us = wall, span = root.render());
-        }
-        if !missing.is_empty() {
-            return self.degraded(vec![hits], missing);
-        }
-        if wire_search {
-            stats.wall_micros = wall;
-            Response::Search { hits, stats: want_stats.then_some(stats) }
-        } else {
-            Response::Neighbors(hits)
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn route_batch(
-        &self,
-        ctx: TraceContext,
-        index: &str,
-        k: u32,
-        budget: u32,
-        probes: u32,
-        dim: u32,
-        vectors: Vec<f32>,
-    ) -> Response {
-        let Some(p) = self.placement_of(index) else {
-            return Response::Error(format!("no such index {index:?}"));
-        };
-        let lens = self.lens_of(index, p.mod_shards);
-        let total: u64 = lens.iter().map(|l| l.unwrap_or(0)).sum();
-        let rows =
-            if lens.iter().all(Option::is_some) { total as usize } else { usize::MAX };
-        if let Err(e) = SearchRequest::top_k(k as usize).validate(rows) {
-            return Response::Error(format!("index {index:?}: {e}"));
-        }
-        let nq = vectors.len() / dim.max(1) as usize;
-        let resp_bytes = 5 + nq as u64 * (4 + 12 * u64::from(k));
-        if resp_bytes > MAX_FRAME as u64 {
-            return Response::Error(format!(
-                "batch of {nq} queries at k={k} would need a {resp_bytes}-byte response, over \
-                 the {MAX_FRAME}-byte frame cap; split the batch"
-            ));
-        }
-        let queries = Dataset::from_flat("batch", dim as usize, vectors);
-        let t0 = Instant::now();
-        let targets: Vec<usize> = (0..p.mod_shards as usize)
-            .filter(|&s| lens[s].is_none_or(|n| n > 0))
-            .collect();
-        let results = self.fan_out(&targets, false, |s, c| {
-            let k_s = lens[s].map_or(k as u64, |n| n.min(k as u64)) as usize;
-            c.trace = Some(ctx.child());
-            let out = c.query_batch(index, k_s, budget as usize, probes as usize, &queries);
-            c.trace = None;
-            out
-        });
-        let mut merged: Vec<Vec<Neighbor>> = vec![Vec::new(); nq];
-        let mut missing = Vec::new();
-        for result in results {
-            match result {
-                Ok(lists) => {
-                    for (q, list) in lists.into_iter().enumerate() {
-                        merged[q].extend(list);
-                    }
-                }
-                Err(ShardError::Remote(msg)) => {
-                    self.drop_lens(index);
-                    return Response::Error(msg);
-                }
-                Err(ShardError::Down(label)) => missing.push(label),
-            }
+            spans.push(span);
         }
         for list in &mut merged {
             list.sort_unstable();
-            list.truncate(k as usize);
+            list.truncate(k);
         }
-        self.stats.record_batch(nq as u64, t0.elapsed().as_micros() as u64);
-        if missing.is_empty() {
-            Response::Batch(merged)
+        let wall = t0.elapsed().as_micros() as u64;
+        if reply == ReplyShape::Batch {
+            self.stats.record_batch(nq as u64, wall);
         } else {
-            self.degraded(merged, missing)
+            self.stats.record_query(wall);
+            self.stats.record_scanned(stats.candidates_scanned);
+            self.stats.record_funnel(stats.heap_pushes, 0);
+            if req.target_recall.is_some() {
+                self.stats.record_planned(edge_degraded);
+            }
         }
+        spans.push(
+            obs::SpanRecord::new("merge", scatter_micros, merge_start.elapsed().as_micros() as u64)
+                .field("hits", merged.iter().map(Vec::len).sum::<usize>()),
+        );
+        ctx.add_spans(spans);
+        if !missing.is_empty() {
+            return Ok(self.degraded(merged, missing));
+        }
+        stats.wall_micros = wall;
+        Ok(reply.respond(merged, req.fields.stats.then_some(stats)))
     }
 
     fn route_list(&self) -> Response {

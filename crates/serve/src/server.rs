@@ -1,12 +1,15 @@
-//! The `annd` serving loop: a worker pool over a blocking TCP listener.
+//! The single-node `annd` service: what each request means against a
+//! catalog of served indexes.
 //!
-//! Connections are accepted by the main thread and handed to a fixed pool
-//! of `workers` threads over a channel. Each worker owns one
+//! The connection loop — accept poll, worker pool, framing, trace
+//! minting, request logs, SHUTDOWN — lives in the private `service`
+//! module; this module is the `Service` it calls. Each worker owns one
 //! [`ann::Scratch`] per index it has touched and reuses it for every
 //! single query it answers — the same allocation amortization the batch
-//! executor gets per worker thread. BATCH requests route through
-//! [`ann::AnnIndex::query_batch`] (the parallel executor), so one heavy
-//! batch saturates the cores even with a single connection.
+//! executor gets per worker thread. QUERY, BATCH and SEARCH are decoded
+//! into one [`ReadRequest`] and answered by one read handler; a BATCH
+//! runs [`ann::AnnIndex::search_batch`] (the parallel executor), so one
+//! heavy batch saturates the cores even with a single connection.
 //!
 //! The catalog lives behind an `RwLock`: request paths take short read
 //! locks (queries only ever write per-index atomic counters), while the
@@ -15,10 +18,6 @@
 //! lock-free and takes the write lock only for the final
 //! [`Catalog::install`], so installs are atomic with respect to every
 //! concurrent reader.
-//!
-//! Shutdown is cooperative: a SHUTDOWN request flips a shared flag and
-//! pokes the accept loop awake with a loopback connection; the acceptor
-//! stops handing out work, the pool drains, and [`Server::run`] returns.
 //!
 //! Since PR 7 the write path is durable and off-request-path (the full
 //! contract lives in `docs/durability.md`):
@@ -37,25 +36,20 @@
 //!   served throughout.
 
 use crate::catalog::{live_read, panic_message, with_live_write, Backend, Catalog, ServedIndex};
-use crate::protocol::{read_frame, write_frame, Request, Response};
-use crate::snapshot::SnapMeta;
-use ann::{AnnIndex, IndexSpec, MutableAnn, Scratch, SearchRequest, SearchResponse};
+use crate::protocol::{ReadRequest, ReplyShape, Request, Response};
+use crate::service::{Ctx, Listener, Service};
+use crate::snapshot::{SnapMeta, StagedSnapshot};
+use ann::{AnnIndex, IndexSpec, MutableAnn, Scratch, SearchRequest};
 use ann_live::wal::{wal_path, Wal, WalRecord, WalSync};
 use ann_live::{LiveConfig, LiveIndex};
 use eval::registry::{self, BuildCtx};
-use obs::TraceContext;
 use std::collections::HashMap;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, ToSocketAddrs};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, Sender};
-use std::sync::{mpsc, Arc, Mutex, RwLock};
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
-
-/// Hygiene timeout on connection reads: a peer that goes silent for this
-/// long mid-session is dropped so it cannot pin a worker forever.
-const READ_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Cap on the dataset file a BUILD request may ask the server to load
 /// (matches the snapshot loader's 1 GiB vector-section cap).
@@ -63,27 +57,26 @@ pub(crate) const MAX_BUILD_DATASET_BYTES: u64 = 1 << 30;
 
 /// A bound, not-yet-running server.
 pub struct Server {
-    listener: TcpListener,
-    catalog: Arc<RwLock<Catalog>>,
-    snapshot_dir: Option<PathBuf>,
-    workers: usize,
-    shutdown: Arc<AtomicBool>,
-    wal_sync: WalSync,
-    degrader: plan::Degrader,
+    listener: Listener,
+    shared: Shared,
+    seal_rx: Receiver<String>,
 }
 
 impl Server {
     /// Binds `addr` (use port `0` for an ephemeral port) and prepares a
     /// pool of `workers` connection handlers.
     pub fn bind(catalog: Catalog, addr: impl ToSocketAddrs, workers: usize) -> io::Result<Server> {
+        let (sealer, seal_rx) = mpsc::channel();
         Ok(Server {
-            listener: TcpListener::bind(addr)?,
-            catalog: Arc::new(RwLock::new(catalog)),
-            snapshot_dir: None,
-            workers: workers.max(1),
-            shutdown: Arc::new(AtomicBool::new(false)),
-            wal_sync: WalSync::Always,
-            degrader: plan::Degrader::off(),
+            listener: Listener::bind(addr, workers)?,
+            shared: Shared {
+                catalog: Arc::new(RwLock::new(catalog)),
+                snapshot_dir: None,
+                wal_sync: WalSync::Always,
+                sealer,
+                degrader: plan::Degrader::off(),
+            },
+            seal_rx,
         })
     }
 
@@ -91,7 +84,7 @@ impl Server {
     /// support snapshots. Without it BUILD still installs in the catalog,
     /// it just writes nothing.
     pub fn with_snapshot_dir(mut self, dir: impl Into<PathBuf>) -> Server {
-        self.snapshot_dir = Some(dir.into());
+        self.shared.snapshot_dir = Some(dir.into());
         self
     }
 
@@ -102,7 +95,7 @@ impl Server {
     /// higher ingest throughput (a process kill alone loses nothing —
     /// the records are already in the kernel). See `docs/durability.md`.
     pub fn with_wal_sync(mut self, sync: WalSync) -> Server {
-        self.wal_sync = sync;
+        self.shared.wal_sync = sync;
         self
     }
 
@@ -112,108 +105,66 @@ impl Server {
     /// stepped down toward `floor` instead of letting latency grow
     /// unbounded. `0.0` (the default) never degrades.
     pub fn with_recall_floor(mut self, floor: f64) -> Server {
-        self.degrader.floor = floor;
+        self.shared.degrader.floor = floor;
         self
     }
 
     /// The p99 latency bound (µs) that triggers recall-target
     /// degradation (`--p99-bound-us`); `0` (the default) never degrades.
     pub fn with_p99_bound_micros(mut self, bound: u64) -> Server {
-        self.degrader.p99_bound_micros = bound;
+        self.shared.degrader.p99_bound_micros = bound;
         self
     }
 
     /// The bound address (the real port when bound with port `0`).
     pub fn local_addr(&self) -> io::Result<SocketAddr> {
-        self.listener.local_addr()
+        Ok(self.listener.local_addr())
     }
 
     /// The served catalog (for printing summaries and final stats around
     /// [`Server::run`]).
     pub fn catalog(&self) -> Arc<RwLock<Catalog>> {
-        self.catalog.clone()
+        self.shared.catalog.clone()
     }
 
     /// Serves until a SHUTDOWN request arrives, then drains and returns.
     pub fn run(self) -> io::Result<()> {
-        let local = self.local_addr()?;
-        // Nonblocking accept + short poll: the loop re-checks the shutdown
-        // flag every tick, so it can never hang on a lost wake-up, and a
-        // transient accept error (ECONNABORTED under load, a brief EMFILE
-        // burst) is retried instead of silently terminating the daemon.
-        self.listener.set_nonblocking(true)?;
-        let (tx, rx): (Sender<TcpStream>, Receiver<TcpStream>) = mpsc::channel();
-        let rx = Arc::new(Mutex::new(rx));
-        let (seal_tx, seal_rx) = mpsc::channel::<String>();
-        let shared = Shared {
-            catalog: &self.catalog,
-            snapshot_dir: self.snapshot_dir.as_deref(),
-            shutdown: &self.shutdown,
-            local,
-            wal_sync: self.wal_sync,
-            sealer: seal_tx,
-            degrader: self.degrader,
-        };
+        let Server { listener, shared, seal_rx } = self;
         std::thread::scope(|scope| {
-            {
-                // The background seal/compaction worker: one thread per
-                // server, fed index names by the write paths.
-                let shared = &shared;
-                scope.spawn(move || sealer_loop(&seal_rx, shared));
-            }
-            for _ in 0..self.workers {
-                let rx = rx.clone();
-                let shared = &shared;
-                scope.spawn(move || worker_loop(&rx, shared));
-            }
-            loop {
-                if self.shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-                match self.listener.accept() {
-                    Ok((stream, _)) => {
-                        // Some platforms hand the listener's nonblocking
-                        // mode down to accepted sockets; handlers expect
-                        // blocking reads with a timeout.
-                        if stream.set_nonblocking(false).is_err() {
-                            continue;
-                        }
-                        if tx.send(stream).is_err() {
-                            break;
-                        }
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(ACCEPT_POLL);
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(e) => {
-                        obs::warn!("accept failed, retrying", error = e);
-                        std::thread::sleep(ACCEPT_POLL);
-                    }
-                }
-            }
-            drop(tx); // workers drain the queue, then exit
+            // The background seal/compaction worker: one thread per
+            // server, fed index names by the write paths.
+            let (shared, listener) = (&shared, &listener);
+            scope.spawn(move || sealer_loop(&seal_rx, shared, listener));
+            listener.serve(shared);
         });
         Ok(())
     }
 }
 
-/// Accept-loop poll interval; also the upper bound SHUTDOWN adds to the
-/// drain latency when the loopback wake-up poke cannot connect.
-const ACCEPT_POLL: Duration = Duration::from_millis(10);
-
-/// State every worker shares with the accept loop.
-struct Shared<'a> {
-    catalog: &'a RwLock<Catalog>,
-    snapshot_dir: Option<&'a Path>,
-    shutdown: &'a AtomicBool,
-    local: SocketAddr,
+/// What every worker (and the sealer) shares: the [`Service`] state.
+struct Shared {
+    catalog: Arc<RwLock<Catalog>>,
+    snapshot_dir: Option<PathBuf>,
     wal_sync: WalSync,
     /// Feeds the background sealer the name of a live entry whose
     /// insert just froze the memtable (queued seal/compaction work).
     sealer: Sender<String>,
     /// The load-shedding dial for recall-targeted requests.
     degrader: plan::Degrader,
+}
+
+impl Service for Shared {
+    /// One scratch per (worker, index): reused across every connection
+    /// and single query the worker handles.
+    type Worker = HashMap<String, Scratch>;
+
+    fn worker(&self) -> Self::Worker {
+        HashMap::new()
+    }
+
+    fn call(&self, req: Request, _: &Ctx, scratches: &mut Self::Worker) -> Response {
+        dispatch(req, self, scratches).unwrap_or_else(Response::Error)
+    }
 }
 
 /// How often the sealer re-checks the shutdown flag while idle.
@@ -224,12 +175,12 @@ const SEALER_POLL: Duration = Duration::from_millis(100);
 /// server is shutting down (pending work is not lost — it is folded
 /// back into the memtable by `state()` on FLUSH, or rebuilt after
 /// restart from the WAL).
-fn sealer_loop(rx: &Receiver<String>, shared: &Shared) {
+fn sealer_loop(rx: &Receiver<String>, shared: &Shared, listener: &Listener) {
     loop {
         match rx.recv_timeout(SEALER_POLL) {
             Ok(name) => seal_index(shared, &name),
             Err(mpsc::RecvTimeoutError::Timeout) => {
-                if shared.shutdown.load(Ordering::SeqCst) {
+                if listener.is_shut_down() {
                     return;
                 }
             }
@@ -276,132 +227,26 @@ fn seal_index(shared: &Shared, name: &str) {
     }
 }
 
-fn worker_loop(rx: &Mutex<Receiver<TcpStream>>, shared: &Shared) {
-    // One scratch per (worker, index): reused across every connection and
-    // single query this worker handles.
-    let mut scratches: HashMap<String, Scratch> = HashMap::new();
-    loop {
-        let stream = {
-            let guard = rx.lock().expect("receiver poisoned");
-            guard.recv()
-        };
-        match stream {
-            Ok(s) => handle_connection(s, shared, &mut scratches),
-            Err(_) => break, // channel closed: server is draining
-        }
-    }
-}
-
-/// Process-wide connection counter: every accepted connection gets a
-/// stable id for correlating its log lines.
-static NEXT_CONN_ID: AtomicU64 = AtomicU64::new(1);
-
-/// The catalog entry a request targets, for log fields (`None` for
-/// catalog-wide requests like LIST/STATS/METRICS).
-fn req_index(req: &Request) -> Option<&str> {
-    match req {
-        Request::Query { index, .. }
-        | Request::Batch { index, .. }
-        | Request::Search { index, .. }
-        | Request::Insert { index, .. }
-        | Request::Delete { index, .. }
-        | Request::Calibrate { index, .. }
-        | Request::Flush { index } => Some(index),
-        Request::Build { name, .. } => Some(name),
-        _ => None,
-    }
-}
-
-fn handle_connection(
-    mut stream: TcpStream,
-    shared: &Shared,
-    scratches: &mut HashMap<String, Scratch>,
-) {
-    stream.set_nodelay(true).ok();
-    stream.set_read_timeout(Some(READ_TIMEOUT)).ok();
-    let conn = NEXT_CONN_ID.fetch_add(1, Ordering::Relaxed);
-    let peer = stream.peer_addr().map_or_else(|_| "?".to_string(), |a| a.to_string());
-    obs::global()
-        .counter("ann_connections_total", &[], "Connections accepted by the serving loop")
-        .inc();
-    obs::debug!("connection open", conn = conn, peer = peer);
-    loop {
-        let body = match read_frame(&mut stream) {
-            Ok(Some(body)) => body,
-            Ok(None) => {
-                obs::debug!("connection closed", conn = conn, peer = peer);
-                return; // clean close
-            }
-            Err(e) => {
-                // Timeout, mid-frame EOF, oversized frame.
-                obs::debug!("connection dropped", conn = conn, peer = peer, error = e);
-                return;
-            }
-        };
-        let (resp, stop) = match Request::decode_traced(&body) {
-            Ok((req, trace)) => {
-                // Requests arriving without a trace context (legacy
-                // clients, ad-hoc tools) mint one at this edge so every
-                // log line downstream is still correlatable.
-                let trace = trace.unwrap_or_else(TraceContext::mint);
-                let op = req.op_name();
-                let index = req_index(&req).map(str::to_string);
-                let t0 = Instant::now();
-                let out = dispatch(req, shared, scratches);
-                let micros = t0.elapsed().as_micros() as u64;
-                obs::debug!(
-                    "request",
-                    conn = conn,
-                    trace = trace,
-                    op = op,
-                    index = index.as_deref().unwrap_or("-"),
-                    us = micros
-                );
-                if obs::is_slow(micros) {
-                    let mut span = obs::SpanRecord::new(op, 0, micros);
-                    if let Some(ix) = &index {
-                        span = span.field("index", ix);
-                    }
-                    obs::warn!(
-                        "slow request",
-                        conn = conn,
-                        trace = trace,
-                        us = micros,
-                        span = span.render()
-                    );
-                }
-                out
-            }
-            Err(e) => {
-                obs::warn!("bad request", conn = conn, peer = peer, error = e);
-                (Response::Error(format!("bad request: {e}")), true)
-            }
-        };
-        if write_frame(&mut stream, &resp.encode()).is_err() {
-            return;
-        }
-        if stop {
-            return;
-        }
-    }
-}
-
-/// Validates and answers one request. The boolean asks the connection
-/// loop to close afterwards.
+/// Validates and answers one request; the error side is the message for
+/// a [`Response::Error`] (not the response itself: `Response` grew large
+/// enough with BUILT that clippy rightly objects to it riding in every
+/// `Err`).
 fn dispatch(
     req: Request,
     shared: &Shared,
     scratches: &mut HashMap<String, Scratch>,
-) -> (Response, bool) {
+) -> Result<Response, String> {
     match req {
-        Request::Ping => (Response::Pong, false),
+        Request::Ping => Ok(Response::Pong),
+        // The connection loop raised the flag before calling in.
+        Request::Shutdown => Ok(Response::ShuttingDown),
         Request::List => {
             let catalog = shared.catalog.read().expect("catalog poisoned");
-            (Response::List(catalog.iter().map(ServedIndex::info).collect()), false)
+            Ok(Response::List(catalog.iter().map(ServedIndex::info).collect()))
         }
         Request::Stats => {
             let catalog = shared.catalog.read().expect("catalog poisoned");
-            (Response::Stats(catalog.iter().map(stats_entry).collect()), false)
+            Ok(Response::Stats(catalog.iter().map(stats_entry).collect()))
         }
         Request::Metrics => {
             let catalog = shared.catalog.read().expect("catalog poisoned");
@@ -447,124 +292,17 @@ fn dispatch(
                     out.sample(name, &[("index", &row.0)], get(row));
                 }
             }
-            (Response::Metrics(out.into_string()), false)
+            Ok(Response::Metrics(out.into_string()))
         }
-        Request::Shutdown => {
-            shared.shutdown.store(true, Ordering::SeqCst);
-            // Poke the accept loop for an instant wake-up; if the connect
-            // fails the nonblocking poll observes the flag within
-            // ACCEPT_POLL anyway. A wildcard bind is not connectable, so
-            // target loopback on the same port.
-            let target: SocketAddr = if shared.local.ip().is_unspecified() {
-                (std::net::Ipv4Addr::LOCALHOST, shared.local.port()).into()
-            } else {
-                shared.local
-            };
-            TcpStream::connect_timeout(&target, Duration::from_millis(100)).ok();
-            (Response::ShuttingDown, true)
+        // QUERY and BATCH stay on the wire unchanged and are answered as
+        // SEARCHes with no optional sections — the search path without a
+        // filter or threshold is byte-identical to the pre-redesign query
+        // path (the e2e back-compat test pins this).
+        Request::Query { .. } | Request::Batch { .. } | Request::Search { .. } => {
+            let read = ReadRequest::from_wire(req).expect("matched a read opcode");
+            answer_read(shared, scratches, read)
         }
-        // QUERY stays on the wire unchanged and is answered as a SEARCH
-        // with no optional sections — the search path without a filter or
-        // threshold is byte-identical to the pre-redesign query path (the
-        // e2e back-compat test pins this).
-        Request::Query { index, k, budget, probes, vector } => {
-            let req = request_from_knobs(k, budget, probes);
-            match answer_search(shared, scratches, &index, &req, &vector) {
-                Ok(resp) => (Response::Neighbors(resp.hits), false),
-                Err(e) => (Response::Error(e), false),
-            }
-        }
-        Request::Search {
-            index,
-            k,
-            budget,
-            probes,
-            filter,
-            max_dist,
-            want_stats,
-            target_recall,
-            vector,
-        } => {
-            let mut req = request_from_knobs(k, budget, probes);
-            req.filter = filter;
-            req.max_dist = max_dist;
-            req.fields.stats = want_stats;
-            if target_recall.is_some() {
-                // A well-formed planned frame carries 0-sentinels for
-                // both knobs; anything else counts as "explicit knobs"
-                // so validation rejects the combination with exactly
-                // the in-process error text.
-                req.knobs_set = budget != 0 || probes != 0;
-                req.target_recall = target_recall;
-            }
-            match answer_search(shared, scratches, &index, &req, &vector) {
-                Ok(resp) => (
-                    Response::Search {
-                        hits: resp.hits,
-                        stats: want_stats.then_some(resp.stats),
-                    },
-                    false,
-                ),
-                Err(e) => (Response::Error(e), false),
-            }
-        }
-        Request::Calibrate { index, sample, k } => {
-            (handle_calibrate(shared, &index, sample, k), false)
-        }
-        Request::Batch { index, k, budget, probes, dim, vectors } => {
-            let catalog = shared.catalog.read().expect("catalog poisoned");
-            let served = match lookup(&catalog, &index) {
-                Ok(s) => s,
-                Err(e) => return (Response::Error(e), false),
-            };
-            // The response must fit one frame: nq lists of up to k
-            // 12-byte neighbors each (k ≤ n is validated per backend).
-            let nq = vectors.len() / dim.max(1) as usize;
-            let resp_bytes = 5 + nq as u64 * (4 + 12 * u64::from(k));
-            if resp_bytes > crate::protocol::MAX_FRAME as u64 {
-                return (
-                    Response::Error(format!(
-                        "batch of {nq} queries at k={k} would need a {resp_bytes}-byte \
-                         response, over the {}-byte frame cap; split the batch",
-                        crate::protocol::MAX_FRAME
-                    )),
-                    false,
-                );
-            }
-            let req = request_from_knobs(k, budget, probes);
-            let queries = dataset::Dataset::from_flat("batch", dim as usize, vectors);
-            let t0 = Instant::now();
-            let responses = match &served.backend {
-                Backend::Static { index: idx, data } => {
-                    if let Err(e) =
-                        check_request(&index, &req, dim as usize, idx.len(), data.dim())
-                    {
-                        return (Response::Error(e), false);
-                    }
-                    idx.search_batch(&queries, &req)
-                }
-                Backend::Live(lock) => {
-                    let live = match live_read(lock, &index) {
-                        Ok(g) => g,
-                        Err(e) => return (Response::Error(e), false),
-                    };
-                    if let Err(e) =
-                        check_request(&index, &req, dim as usize, live.live_len(), live.dim())
-                    {
-                        return (Response::Error(e), false);
-                    }
-                    live.search_batch(&queries, &req)
-                }
-            };
-            let scanned: u64 = responses.iter().map(|r| r.stats.candidates_scanned).sum();
-            let pushes: u64 = responses.iter().map(|r| r.stats.heap_pushes).sum();
-            let pruned: u64 = responses.iter().map(|r| r.stats.sq8_pruned).sum();
-            let lists: Vec<_> = responses.into_iter().map(|r| r.hits).collect();
-            served.stats.record_scanned(scanned);
-            served.stats.record_funnel(pushes, pruned);
-            served.stats.record_batch(queries.len() as u64, t0.elapsed().as_micros() as u64);
-            (Response::Batch(lists), false)
-        }
+        Request::Calibrate { index, sample, k } => handle_calibrate(shared, &index, sample, k),
         Request::Build {
             name,
             spec,
@@ -578,27 +316,18 @@ fn dispatch(
             id_step,
         } => {
             let opts = BuildOpts { live, seal_threshold, max_segments, id_base, id_step };
-            (handle_build(shared, &name, &spec, &metric, &data_path, limit, opts), false)
+            handle_build(shared, &name, &spec, &metric, &data_path, limit, opts)
         }
         Request::Insert { index, dim, vectors, ids } => {
             let catalog = shared.catalog.read().expect("catalog poisoned");
-            let served = match lookup(&catalog, &index) {
-                Ok(s) => s,
-                Err(e) => return (Response::Error(e), false),
-            };
-            let lock = match require_live(served, &index) {
-                Ok(l) => l,
-                Err(e) => return (Response::Error(e), false),
-            };
+            let served = lookup(&catalog, &index)?;
+            let lock = require_live(served, &index)?;
             // The response echoes one u32 id per row; keep it inside a frame.
             let nq = vectors.len() / dim.max(1) as usize;
             if 5 + nq as u64 * 4 > crate::protocol::MAX_FRAME as u64 {
-                return (
-                    Response::Error(format!(
-                        "insert of {nq} rows would overflow the response frame; split it"
-                    )),
-                    false,
-                );
+                return Err(format!(
+                    "insert of {nq} rows would overflow the response frame; split it"
+                ));
             }
             let rows = dataset::Dataset::from_flat("insert", dim as usize, vectors);
             let ids_opt = (!ids.is_empty()).then_some(ids.as_slice());
@@ -609,7 +338,7 @@ fn dispatch(
             // replay re-normalizes identically. A seal crossing only
             // freezes and queues here; the rebuild happens on the
             // sealer thread after the ack.
-            let result = with_live_write(lock, &index, |live| {
+            let (assigned, froze) = with_live_write(lock, &index, |live| {
                 let (assigned, froze) =
                     live.insert_deferred(&rows, ids_opt).map_err(|e| e.to_string())?;
                 let mut wal = served.wal.lock().expect("wal mutex poisoned");
@@ -631,35 +360,22 @@ fn dispatch(
                     }
                 }
                 Ok((assigned, froze))
-            });
-            match result {
-                Ok((assigned, froze)) => {
-                    served
-                        .stats
-                        .record_insert(assigned.len() as u64, t0.elapsed().as_micros() as u64);
-                    // The index the table was measured on no longer
-                    // exists: keep planning, but report it stale.
-                    served.mark_cal_stale();
-                    if froze {
-                        shared.sealer.send(index.clone()).ok();
-                    }
-                    (Response::Inserted { ids: assigned }, false)
-                }
-                Err(e) => (Response::Error(e), false),
+            })?;
+            served.stats.record_insert(assigned.len() as u64, t0.elapsed().as_micros() as u64);
+            // The index the table was measured on no longer exists: keep
+            // planning, but report it stale.
+            served.mark_cal_stale();
+            if froze {
+                shared.sealer.send(index.clone()).ok();
             }
+            Ok(Response::Inserted { ids: assigned })
         }
         Request::Delete { index, ids } => {
             let catalog = shared.catalog.read().expect("catalog poisoned");
-            let served = match lookup(&catalog, &index) {
-                Ok(s) => s,
-                Err(e) => return (Response::Error(e), false),
-            };
-            let lock = match require_live(served, &index) {
-                Ok(l) => l,
-                Err(e) => return (Response::Error(e), false),
-            };
+            let served = lookup(&catalog, &index)?;
+            let lock = require_live(served, &index)?;
             let t0 = Instant::now();
-            let result = with_live_write(lock, &index, |live| {
+            let removed = with_live_write(lock, &index, |live| {
                 let removed = live.delete(&ids);
                 // A no-op delete (no requested id was live) changes
                 // nothing, so nothing needs to survive a crash.
@@ -676,37 +392,19 @@ fn dispatch(
                     }
                 }
                 Ok(removed)
-            });
-            match result {
-                Ok(removed) => {
-                    served
-                        .stats
-                        .record_delete(removed as u64, t0.elapsed().as_micros() as u64);
-                    if removed > 0 {
-                        served.mark_cal_stale();
-                    }
-                    (Response::Deleted { removed: removed as u64 }, false)
-                }
-                Err(e) => (Response::Error(e), false),
+            })?;
+            served.stats.record_delete(removed as u64, t0.elapsed().as_micros() as u64);
+            if removed > 0 {
+                served.mark_cal_stale();
             }
+            Ok(Response::Deleted { removed: removed as u64 })
         }
         Request::Flush { index } => {
             let catalog = shared.catalog.read().expect("catalog poisoned");
-            let served = match lookup(&catalog, &index) {
-                Ok(s) => s,
-                Err(e) => return (Response::Error(e), false),
-            };
-            let lock = match require_live(served, &index) {
-                Ok(l) => l,
-                Err(e) => return (Response::Error(e), false),
-            };
-            let Some(dir) = shared.snapshot_dir else {
-                return (
-                    Response::Error(
-                        "server has no snapshot directory; FLUSH cannot persist".into(),
-                    ),
-                    false,
-                );
+            let served = lookup(&catalog, &index)?;
+            let lock = require_live(served, &index)?;
+            let Some(dir) = shared.snapshot_dir.as_deref() else {
+                return Err("server has no snapshot directory; FLUSH cannot persist".into());
             };
             let t0 = Instant::now();
             // Seal AND persist under one inner write-lock critical
@@ -723,7 +421,7 @@ fn dispatch(
             // truncate, restart sees a log whose generation no longer
             // matches and discards it instead of double-applying — the
             // rename IS the atomic flush point (`docs/durability.md`).
-            let flushed = with_live_write(lock, &index, |live| {
+            let (path, segments, live_rows) = with_live_write(lock, &index, |live| {
                 live.seal().map_err(|e| e.to_string())?;
                 let old_gen = live.wal_gen();
                 live.set_wal_gen(old_gen + 1);
@@ -743,7 +441,7 @@ fn dispatch(
                     .clone();
                 let staged =
                     crate::snapshot::stage_live_snapshot(dir, &index, &state, &meta, cal.as_ref())
-                        .and_then(|s| s.commit());
+                        .and_then(StagedSnapshot::commit);
                 let path = match staged {
                     Ok(path) => path,
                     Err(e) => {
@@ -760,21 +458,13 @@ fn dispatch(
                     }
                 }
                 Ok((path, state.segments.len() as u32, state.live_rows() as u64))
-            });
-            match flushed {
-                Ok((path, segments, live_rows)) => {
-                    served.stats.record_flush(t0.elapsed().as_micros() as u64);
-                    (
-                        Response::Flushed {
-                            snapshot_path: path.display().to_string(),
-                            segments,
-                            live_rows,
-                        },
-                        false,
-                    )
-                }
-                Err(e) => (Response::Error(e), false),
-            }
+            })?;
+            served.stats.record_flush(t0.elapsed().as_micros() as u64);
+            Ok(Response::Flushed {
+                snapshot_path: path.display().to_string(),
+                segments,
+                live_rows,
+            })
         }
     }
 }
@@ -806,16 +496,10 @@ fn require_live<'a>(
     }
 }
 
-/// Builds the in-process request a wire `(k, budget, probes)` triple
-/// describes.
-fn request_from_knobs(k: u32, budget: u32, probes: u32) -> SearchRequest {
-    SearchRequest::top_k(k as usize).budget(budget as usize).probes(probes as usize)
-}
-
-/// Shared validation for the query paths: the dimension check plus the
-/// workspace-wide request-legality rule ([`SearchRequest::validate`] —
-/// the same rule the in-process harness and the live index apply, so a
-/// hostile `k` can never reach the k-sized verification heaps).
+/// Shared validation for the read path: the workspace-wide
+/// request-legality rule ([`SearchRequest::validate`] — the same rule
+/// the in-process harness and the live index apply, so a hostile `k` can
+/// never reach the k-sized verification heaps) plus the dimension check.
 fn check_request(
     name: &str,
     req: &SearchRequest,
@@ -832,46 +516,58 @@ fn check_request(
     Ok(())
 }
 
-/// Answers one single-vector search (the shared implementation behind
-/// QUERY and SEARCH): look up the entry, validate, run the backend's
-/// `search_with` with this worker's cached scratch, and account the
-/// latency + scanned-candidates counters.
-fn answer_search(
+/// The one read handler behind QUERY, BATCH and SEARCH: look up the
+/// entry, resolve a recall target, validate, run the backend — a single
+/// row through `search_with` on this worker's cached scratch, a batch
+/// through `search_batch` on the parallel executor — and account the
+/// latency and funnel counters.
+fn answer_read(
     shared: &Shared,
     scratches: &mut HashMap<String, Scratch>,
-    index: &str,
-    req: &SearchRequest,
-    vector: &[f32],
-) -> Result<SearchResponse, String> {
+    read: ReadRequest,
+) -> Result<Response, String> {
+    let index = read.index.as_str();
     let catalog = shared.catalog.read().expect("catalog poisoned");
     let served = lookup(&catalog, index)?;
+    read.check_reply_fits()?;
     // A recall target resolves to concrete knobs *before* the backend
     // sees the request; the backend then runs an ordinary search.
-    let planned = plan_request(shared, served, index, req)?;
-    let req = planned.as_ref().map_or(req, |(r, _, _)| r);
+    let planned = plan_request(shared, served, index, &read.request)?;
+    let req = planned.as_ref().map_or(&read.request, |(r, _, _)| r);
     let t0 = Instant::now();
-    let mut resp = match &served.backend {
-        Backend::Static { index: idx, data } => {
-            check_request(index, req, vector.len(), idx.len(), data.dim())?;
-            let scratch =
-                scratches.entry(index.to_string()).or_insert_with(|| idx.make_scratch());
-            idx.search_with(vector, req, scratch)
-        }
+    let live;
+    let (backend, index_dim): (&dyn AnnIndex, usize) = match &served.backend {
+        Backend::Static { index: idx, data } => (idx.as_ref(), data.dim()),
         Backend::Live(lock) => {
-            let live = live_read(lock, index)?;
-            check_request(index, req, vector.len(), live.live_len(), live.dim())?;
-            let scratch = scratches.entry(index.to_string()).or_insert_with(Scratch::empty);
-            live.search_with(vector, req, scratch)
+            live = live_read(lock, index)?;
+            (&*live, live.dim())
         }
     };
-    if let Some((_, choice, degraded)) = planned {
-        resp.stats.plan = Some(choice);
-        served.stats.record_planned(degraded);
+    check_request(index, req, read.dim, backend.len(), index_dim)?;
+    let mut responses = if read.reply == ReplyShape::Batch {
+        let queries = dataset::Dataset::from_flat("batch", read.dim, read.vectors);
+        backend.search_batch(&queries, req)
+    } else {
+        let scratch =
+            scratches.entry(index.to_string()).or_insert_with(|| backend.make_scratch());
+        vec![backend.search_with(&read.vectors, req, scratch)]
+    };
+    let sum = |f: fn(&ann::SearchStats) -> u64| responses.iter().map(|r| f(&r.stats)).sum::<u64>();
+    served.stats.record_scanned(sum(|s| s.candidates_scanned));
+    served.stats.record_funnel(sum(|s| s.heap_pushes), sum(|s| s.sq8_pruned));
+    let micros = t0.elapsed().as_micros() as u64;
+    if read.reply == ReplyShape::Batch {
+        served.stats.record_batch(responses.len() as u64, micros);
+    } else {
+        if let Some((_, choice, degraded)) = planned {
+            responses[0].stats.plan = Some(choice);
+            served.stats.record_planned(degraded);
+        }
+        served.stats.record_query(micros);
     }
-    served.stats.record_scanned(resp.stats.candidates_scanned);
-    served.stats.record_funnel(resp.stats.heap_pushes, resp.stats.sq8_pruned);
-    served.stats.record_query(t0.elapsed().as_micros() as u64);
-    Ok(resp)
+    // The stats section is the backend's own (its wall clock, its plan).
+    let wire_stats = read.request.fields.stats.then(|| responses[0].stats);
+    Ok(read.reply.respond(responses.into_iter().map(|r| r.hits).collect(), wire_stats))
 }
 
 /// Resolves a `target_recall` request against the entry's calibration
@@ -888,15 +584,7 @@ fn plan_request(
     let Some(requested) = req.target_recall else {
         return Ok(None);
     };
-    if !requested.is_finite() || requested <= 0.0 || requested > 1.0 {
-        return Err(format!(
-            "index {index:?}: {}",
-            ann::RequestError::BadTargetRecall(requested)
-        ));
-    }
-    if req.knobs_set {
-        return Err(format!("index {index:?}: {}", ann::RequestError::TargetRecallWithKnobs));
-    }
+    req.validate_target().map_err(|e| format!("index {index:?}: {e}"))?;
     let table = served
         .calibration
         .lock()
@@ -945,7 +633,7 @@ const DEFAULT_CAL_K: usize = 10;
 /// the swap), and persist it into the entry's `.snap` so it survives a
 /// restart. The sweep runs under the catalog *read* lock: queries keep
 /// flowing, only BUILD installs wait.
-fn handle_calibrate(shared: &Shared, name: &str, sample: u32, k: u32) -> Response {
+fn handle_calibrate(shared: &Shared, name: &str, sample: u32, k: u32) -> Result<Response, String> {
     let cfg_base = eval::calibrate::CalibrateConfig {
         sample: if sample == 0 { DEFAULT_CAL_SAMPLE } else { sample as usize },
         k: if k == 0 { DEFAULT_CAL_K } else { k as usize },
@@ -955,10 +643,7 @@ fn handle_calibrate(shared: &Shared, name: &str, sample: u32, k: u32) -> Respons
         ..Default::default()
     };
     let catalog = shared.catalog.read().expect("catalog poisoned");
-    let served = match lookup(&catalog, name) {
-        Ok(s) => s,
-        Err(e) => return Response::Error(e),
-    };
+    let served = lookup(&catalog, name)?;
     // The scheme's m (when the spec parses and carries one) anchors the
     // budget grid with Theorem 5.1's λ.
     let m_hint = served.spec.parse::<IndexSpec>().ok().and_then(|s| match s.scheme {
@@ -971,10 +656,7 @@ fn handle_calibrate(shared: &Shared, name: &str, sample: u32, k: u32) -> Respons
             eval::calibrate::sweep(idx.as_ref(), data, &cfg)
         }
         Backend::Live(lock) => {
-            let live = match live_read(lock, name) {
-                Ok(g) => g,
-                Err(e) => return Response::Error(e),
-            };
+            let live = live_read(lock, name)?;
             // Sample queries from the live index's physical rows; the
             // sweep only needs vectors shaped like real data, liveness
             // is irrelevant for a query vector.
@@ -984,7 +666,7 @@ fn handle_calibrate(shared: &Shared, name: &str, sample: u32, k: u32) -> Respons
                 flat.extend_from_slice(&unit.rows);
             }
             if flat.is_empty() {
-                return Response::Error(format!("index {name:?} is empty; nothing to calibrate"));
+                return Err(format!("index {name:?} is empty; nothing to calibrate"));
             }
             let rows = dataset::Dataset::from_flat("calibrate", state.dim, flat);
             eval::calibrate::sweep(&*live, &rows, &cfg)
@@ -998,7 +680,7 @@ fn handle_calibrate(shared: &Shared, name: &str, sample: u32, k: u32) -> Respons
     *served.calibration.lock().unwrap_or_else(std::sync::PoisonError::into_inner) =
         Some(table.clone());
     drop(catalog);
-    if let Some(dir) = shared.snapshot_dir {
+    if let Some(dir) = &shared.snapshot_dir {
         let path = dir.join(format!("{name}.{}", crate::snapshot::SNAPSHOT_EXT));
         if path.exists() {
             if let Err(e) = crate::snapshot::attach_calibration(&path, &table) {
@@ -1008,12 +690,22 @@ fn handle_calibrate(shared: &Shared, name: &str, sample: u32, k: u32) -> Respons
             }
         }
     }
-    resp
+    Ok(resp)
 }
 
-/// BUILD: parse the spec, load the dataset, build through the eval
-/// registry, optionally snapshot, and atomically install in the catalog.
-/// Everything except the final install runs without any lock held.
+/// A finished BUILD waiting for [`commit_build`]: the backend to
+/// install and, when it persists, its container staged next to its
+/// final path.
+struct StagedBuild {
+    method: String,
+    backend: Backend,
+    snapshot: Option<StagedSnapshot>,
+    build_secs: f64,
+}
+
+/// BUILD: validate the request, load the dataset, run the static or the
+/// live build step, then persist and install through [`commit_build`].
+/// Everything except that final step runs without any lock held.
 fn handle_build(
     shared: &Shared,
     name: &str,
@@ -1022,23 +714,20 @@ fn handle_build(
     data_path: &str,
     limit: u32,
     opts: BuildOpts,
-) -> Response {
+) -> Result<Response, String> {
     // The name becomes a file name under the snapshot dir, so it must be
     // a plain token: no separators, no leading dot — a hostile
     // "../../etc/x" must not escape the directory.
     if !valid_build_name(name) {
-        return Response::Error(format!(
+        return Err(format!(
             "bad catalog name {name:?}: use letters, digits, '-', '_', '.' (not leading), \
              at most {} bytes",
             crate::protocol::MAX_NAME
         ));
     }
-    let spec: IndexSpec = match spec_text.parse() {
-        Ok(s) => s,
-        Err(e) => return Response::Error(format!("bad spec {spec_text:?}: {e}")),
-    };
+    let spec: IndexSpec = spec_text.parse().map_err(|e| format!("bad spec {spec_text:?}: {e}"))?;
     let Some(metric) = dataset::Metric::from_name(metric_name) else {
-        return Response::Error(format!(
+        return Err(format!(
             "unknown metric {metric_name:?} (euclidean, angular, hamming, jaccard)"
         ));
     };
@@ -1048,129 +737,95 @@ fn handle_build(
     // itself caps per-record dimension headers.
     match std::fs::metadata(data_path) {
         Ok(m) if m.len() > MAX_BUILD_DATASET_BYTES => {
-            return Response::Error(format!(
+            return Err(format!(
                 "dataset {data_path:?} is {} bytes, over the {MAX_BUILD_DATASET_BYTES}-byte \
                  BUILD cap; pass --limit or pre-slice the file",
                 m.len()
             ));
         }
         Ok(_) => {}
-        Err(e) => return Response::Error(format!("loading dataset {data_path:?}: {e}")),
+        Err(e) => return Err(format!("loading dataset {data_path:?}: {e}")),
     }
     if !opts.live && (opts.id_base, opts.id_step) != (0, 1) {
         // Static indexes answer with positional ids; only the live path
         // can honor an explicit id layout.
-        return Response::Error(
-            "id_base/id_step require a live build (static ids are positional)".into(),
-        );
+        return Err("id_base/id_step require a live build (static ids are positional)".into());
     }
     let limit = if limit == 0 { None } else { Some(limit as usize) };
-    let mut data = match dataset::io::read_fvecs(data_path, limit) {
-        Ok(d) => d,
-        Err(e) => return Response::Error(format!("loading dataset {data_path:?}: {e}")),
+    let data = dataset::io::read_fvecs(data_path, limit)
+        .map_err(|e| format!("loading dataset {data_path:?}: {e}"))?;
+    let dir = shared.snapshot_dir.as_deref();
+    let built = if opts.live {
+        build_live(dir, name, &spec, spec_text, metric, &data, opts)?
+    } else {
+        build_static(dir, name, &spec, spec_text, metric, data)?
     };
-    if opts.live {
-        // The live path hands raw rows to `LiveIndex`, which normalizes
-        // angular inserts itself — pre-normalizing here would round twice.
-        return handle_build_live(shared, name, &spec, spec_text, metric, &data, opts);
-    }
-    if metric.is_angular() {
-        data = data.normalized();
-    }
-    let data = Arc::new(data);
+    commit_build(shared, name, &spec, built)
+}
 
-    let t0 = Instant::now();
-    // The spec grammar bounds every knob, but individual builders keep
-    // their own stricter invariants as asserts (LCCS wants m ≥ 2, a
-    // family may reject a degenerate dimension, …). A panic from
-    // untrusted BUILD input must become an error response, not a dead
-    // worker thread.
-    let built = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        registry::build_index_persist(&spec, &BuildCtx { data: &data, metric })
-    }));
-    let (index, payload) = match built {
-        Ok(Ok(built)) => built,
-        Ok(Err(e)) => return Response::Error(format!("building {spec_text:?}: {e}")),
-        Err(panic) => {
-            return Response::Error(format!(
-                "building {spec_text:?} rejected: {}",
-                panic_message(panic)
-            ));
-        }
-    };
-    let build_secs = t0.elapsed().as_secs_f64();
-    let method = index.name().to_string();
-
-    // Stage the snapshot (encode + write + fsync, the slow part) before
-    // taking any lock; persisting before installing means an
-    // installed-but-unsnapshotted index can't silently vanish on
-    // restart, while the opposite surprise is harmless.
-    let staged = match (&payload, shared.snapshot_dir) {
-        (Some(payload), Some(dir)) => {
-            let meta = SnapMeta::of_build(&spec, build_secs, data.len() as u64);
-            match crate::snapshot::stage_built_snapshot(dir, name, &method, &data, payload, &meta)
-            {
-                Ok(staged) => Some(staged),
-                Err(e) => return Response::Error(format!("snapshotting {name:?}: {e}")),
-            }
-        }
-        _ => None,
-    };
-
-    // Commit + install under one write lock: two concurrent BUILDs of
-    // the same name must not interleave the snapshot rename and the map
-    // insert, or disk and catalog would name different indexes after a
-    // restart. Only this rename/insert section holds the lock.
-    let mut catalog = shared.catalog.write().expect("catalog poisoned");
-    let mut snapshot_path = String::new();
-    match staged {
-        Some(staged) => match staged.commit() {
-            Ok(path) => snapshot_path = path.display().to_string(),
-            Err(e) => return Response::Error(format!("snapshotting {name:?}: {e}")),
-        },
-        // A non-persisting scheme writes nothing — but a *stale*
-        // snapshot from an earlier BUILD of this name would resurrect
-        // the replaced index on restart, so drop it.
-        None => {
-            if let Some(dir) = shared.snapshot_dir {
-                let stale = dir.join(format!("{name}.{}", crate::snapshot::SNAPSHOT_EXT));
-                std::fs::remove_file(&stale).ok();
-            }
-        }
-    }
-    // A static entry accepts no writes: drop any WAL left by a live
-    // entry this BUILD replaces, or a restart would replay it over the
-    // wrong index.
-    if let Some(dir) = shared.snapshot_dir {
-        std::fs::remove_file(wal_path(dir, name)).ok();
-    }
-    match catalog.install(name.to_string(), method, spec.to_string(), index, data) {
-        Ok(_replaced) => {
-            let info = catalog.get(name).expect("just installed").info();
-            Response::Built {
-                info,
-                build_micros: (build_secs * 1e6) as u64,
-                snapshot_path,
-            }
-        }
-        Err(e) => Response::Error(format!("installing {name:?}: {e}")),
+/// Runs one index builder, turning both of its failure modes into an
+/// error message. The spec grammar bounds every knob, but individual
+/// builders keep their own stricter invariants as asserts (LCCS wants
+/// m ≥ 2, a family may reject a degenerate dimension, …). A panic from
+/// untrusted BUILD input must become an error response, not a dead
+/// worker thread.
+fn guarded_build<T, E: std::fmt::Display>(
+    what: &str,
+    build: impl FnOnce() -> Result<T, E>,
+) -> Result<T, String> {
+    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(build)) {
+        Ok(Ok(built)) => Ok(built),
+        Ok(Err(e)) => Err(format!("building {what}: {e}")),
+        Err(panic) => Err(format!("building {what} rejected: {}", panic_message(panic))),
     }
 }
 
-/// The live half of BUILD: the dataset becomes the first sealed segment
-/// of a fresh [`LiveIndex`], which is snapshotted (LIVE section) and
-/// atomically installed as a mutable catalog entry. Same staging
-/// discipline as the static path: the expensive build and the disk write
-/// run lock-free, only rename + install hold the catalog write lock.
-fn handle_build_live(
-    shared: &Shared,
+/// The static build step: build through the eval registry and stage the
+/// snapshot (encode + write + fsync, the slow part) before any lock is
+/// taken; persisting before installing means an installed-but-
+/// unsnapshotted index can't silently vanish on restart, while the
+/// opposite surprise is harmless.
+fn build_static(
+    dir: Option<&Path>,
+    name: &str,
+    spec: &IndexSpec,
+    spec_text: &str,
+    metric: dataset::Metric,
+    data: dataset::Dataset,
+) -> Result<StagedBuild, String> {
+    let data = Arc::new(if metric.is_angular() { data.normalized() } else { data });
+    let t0 = Instant::now();
+    let (index, payload) = guarded_build(&format!("{spec_text:?}"), || {
+        registry::build_index_persist(spec, &BuildCtx { data: &data, metric })
+    })?;
+    let build_secs = t0.elapsed().as_secs_f64();
+    let method = index.name().to_string();
+    let snapshot = match (&payload, dir) {
+        (Some(payload), Some(dir)) => {
+            let meta = SnapMeta::of_build(spec, build_secs, data.len() as u64);
+            let staged =
+                crate::snapshot::stage_built_snapshot(dir, name, &method, &data, payload, &meta)
+                    .map_err(|e| format!("snapshotting {name:?}: {e}"))?;
+            Some(staged)
+        }
+        _ => None,
+    };
+    Ok(StagedBuild { method, backend: Backend::Static { index, data }, snapshot, build_secs })
+}
+
+/// The live build step: the dataset becomes the first sealed segment of
+/// a fresh [`LiveIndex`], staged as a LIVE-section snapshot. The rows go
+/// in raw — `LiveIndex` normalizes angular inserts itself, and
+/// pre-normalizing here would round twice.
+fn build_live(
+    dir: Option<&Path>,
     name: &str,
     spec: &IndexSpec,
     spec_text: &str,
     metric: dataset::Metric,
     data: &dataset::Dataset,
     opts: BuildOpts,
-) -> Response {
+) -> Result<StagedBuild, String> {
     let defaults = LiveConfig::default();
     let config = LiveConfig {
         seal_threshold: if opts.seal_threshold == 0 {
@@ -1192,7 +847,7 @@ fn handle_build_live(
     } else {
         let last = opts.id_base as u64 + (data.len() as u64).saturating_sub(1) * opts.id_step as u64;
         if last >= u32::MAX as u64 {
-            return Response::Error(format!(
+            return Err(format!(
                 "id layout base={} step={} over {} rows reaches id {last}, past the u32 id space",
                 opts.id_base,
                 opts.id_step,
@@ -1202,63 +857,94 @@ fn handle_build_live(
         Some((0..data.len() as u32).map(|i| opts.id_base + i * opts.id_step).collect())
     };
     let t0 = Instant::now();
-    // Builder invariants may assert on hostile specs, exactly like the
-    // static path: catch, answer, keep the worker.
-    let built = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match &ids {
+    let live = guarded_build(&format!("live {spec_text:?}"), || match &ids {
         None => LiveIndex::build_from(*spec, metric, data, config),
         Some(ids) => LiveIndex::build_from_ids(*spec, metric, data, config, ids),
-    }));
-    let live = match built {
-        Ok(Ok(live)) => live,
-        Ok(Err(e)) => return Response::Error(format!("building live {spec_text:?}: {e}")),
-        Err(panic) => {
-            return Response::Error(format!(
-                "building live {spec_text:?} rejected: {}",
-                panic_message(panic)
-            ));
-        }
-    };
+    })?;
     let build_secs = t0.elapsed().as_secs_f64();
-
-    let staged = match shared.snapshot_dir {
+    let snapshot = match dir {
         Some(dir) => {
             let state = live.state();
             let meta = SnapMeta::of_build(spec, build_secs, state.live_rows() as u64);
-            match crate::snapshot::stage_live_snapshot(dir, name, &state, &meta, None) {
-                Ok(staged) => Some(staged),
-                Err(e) => return Response::Error(format!("snapshotting {name:?}: {e}")),
-            }
+            let staged = crate::snapshot::stage_live_snapshot(dir, name, &state, &meta, None)
+                .map_err(|e| format!("snapshotting {name:?}: {e}"))?;
+            Some(staged)
         }
         None => None,
     };
+    Ok(StagedBuild {
+        method: ann_live::LIVE_METHOD.to_string(),
+        backend: Backend::Live(Box::new(RwLock::new(live))),
+        snapshot,
+        build_secs,
+    })
+}
 
+/// The tail every BUILD shares: commit the staged snapshot and install
+/// the entry under one catalog write lock. Two concurrent BUILDs of the
+/// same name must not interleave the snapshot rename and the map insert,
+/// or disk and catalog would name different indexes after a restart.
+/// Only this WAL-create/rename/insert section holds the lock.
+fn commit_build(
+    shared: &Shared,
+    name: &str,
+    spec: &IndexSpec,
+    built: StagedBuild,
+) -> Result<Response, String> {
+    let StagedBuild { method, backend, snapshot, build_secs } = built;
+    let dir = shared.snapshot_dir.as_deref();
     let mut catalog = shared.catalog.write().expect("catalog poisoned");
-    let mut snapshot_path = String::new();
-    if let Some(staged) = staged {
-        match staged.commit() {
-            Ok(path) => snapshot_path = path.display().to_string(),
-            Err(e) => return Response::Error(format!("snapshotting {name:?}: {e}")),
-        }
-    }
-    match catalog.install_live(name.to_string(), spec.to_string(), live) {
-        Ok(_replaced) => {
-            let served = catalog.get(name).expect("just installed");
-            // A fresh live entry starts a fresh log at generation 0 —
-            // matching the snapshot just committed — truncating any WAL
-            // a replaced entry left behind. Without a snapshot dir the
-            // entry serves without durability (like FLUSH, which also
-            // needs the dir).
-            if let Some(dir) = shared.snapshot_dir {
-                match Wal::create(&wal_path(dir, name), 0) {
-                    Ok(wal) => *served.wal.lock().expect("wal mutex poisoned") = Some(wal),
-                    Err(e) => obs::error!("creating WAL failed", index = name, error = e),
+    // A fresh live entry starts a fresh log at generation 0 — matching
+    // the snapshot about to be committed — truncating any WAL a
+    // replaced entry left behind. It is created *before* the rename and
+    // the install: an entry that cannot log must not be installed, or
+    // its writes would be acknowledged without being durable. Without a
+    // snapshot dir the entry serves without durability (like FLUSH,
+    // which also needs the dir).
+    let wal = match (dir, &backend) {
+        (Some(dir), Backend::Live(_)) => match Wal::create(&wal_path(dir, name), 0) {
+            Ok(wal) => Some(wal),
+            Err(e) => {
+                if let Some(staged) = snapshot {
+                    staged.abort();
                 }
+                return Err(format!("creating the WAL for {name:?}: {e}"));
             }
-            let info = served.info();
-            Response::Built { info, build_micros: (build_secs * 1e6) as u64, snapshot_path }
+        },
+        _ => None,
+    };
+    let snapshot_path = match snapshot {
+        Some(staged) => {
+            let path = staged.commit().map_err(|e| format!("snapshotting {name:?}: {e}"))?;
+            path.display().to_string()
         }
-        Err(e) => Response::Error(format!("installing {name:?}: {e}")),
+        // A non-persisting scheme writes nothing — but a *stale*
+        // snapshot from an earlier BUILD of this name would resurrect
+        // the replaced index on restart, so drop it.
+        None => {
+            if let Some(dir) = dir {
+                let stale = dir.join(format!("{name}.{}", crate::snapshot::SNAPSHOT_EXT));
+                std::fs::remove_file(stale).ok();
+            }
+            String::new()
+        }
+    };
+    // A static entry accepts no writes: drop any WAL left by a live
+    // entry this BUILD replaces, or a restart would replay it over the
+    // wrong index.
+    if let (Some(dir), Backend::Static { .. }) = (dir, &backend) {
+        std::fs::remove_file(wal_path(dir, name)).ok();
     }
+    catalog
+        .install_backend(name.to_string(), method, spec.to_string(), backend)
+        .map_err(|e| format!("installing {name:?}: {e}"))?;
+    let served = catalog.get(name).expect("just installed");
+    *served.wal.lock().expect("wal mutex poisoned") = wal;
+    Ok(Response::Built {
+        info: served.info(),
+        build_micros: (build_secs * 1e6) as u64,
+        snapshot_path,
+    })
 }
 
 /// BUILD names double as snapshot file names: plain tokens only.
@@ -1269,11 +955,6 @@ pub(crate) fn valid_build_name(name: &str) -> bool {
         && name.bytes().all(|b| b.is_ascii_alphanumeric() || matches!(b, b'-' | b'_' | b'.'))
 }
 
-/// The error side is the message for a `Response::Error` (not the
-/// response itself: `Response` grew large enough with BUILT that clippy
-/// rightly objects to it riding in every `Err`). Request validation
-/// lives in [`check_request`] — it needs the backend's (possibly
-/// locked) length.
 fn lookup<'a>(catalog: &'a Catalog, name: &str) -> Result<&'a ServedIndex, String> {
     catalog.get(name).ok_or_else(|| format!("no such index {name:?}"))
 }

@@ -516,6 +516,47 @@ fn acknowledged_writes_survive_a_crash_and_replay_from_the_wal() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// "Not durable ⇒ not acknowledged" starts at BUILD: a live entry whose
+/// WAL cannot be created under a configured snapshot directory must not
+/// be installed at all — serving it would acknowledge every later
+/// INSERT/DELETE without a log record.
+#[test]
+fn a_live_build_that_cannot_create_its_wal_installs_nothing() {
+    let dir = std::env::temp_dir().join(format!("annd-nowal-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    // A directory squatting on the log's path makes `Wal::create` fail.
+    std::fs::create_dir_all(dir.join("nw.wal")).unwrap();
+
+    let data = SynthSpec::new("nowal", 64, 8).with_clusters(4).generate(7);
+    let fvecs = dir.join("nowal.fvecs");
+    dataset::io::write_fvecs(&fvecs, &data).unwrap();
+
+    let server =
+        Server::bind(Catalog::empty(), "127.0.0.1:0", 1).expect("bind").with_snapshot_dir(&dir);
+    let addr = server.local_addr().unwrap();
+    let handle = std::thread::spawn(move || server.run().expect("serving loop"));
+    let mut client = Client::connect(addr).unwrap();
+
+    let err = client
+        .build_live("nw", "linear", "euclidean", fvecs.to_str().unwrap(), 0, 16, 4)
+        .expect_err("a live BUILD without a WAL must fail");
+    assert!(matches!(&err, ClientError::Server(m) if m.contains("WAL")), "{err}");
+    assert!(client.list().unwrap().is_empty(), "the entry must not be installed");
+    assert!(client.insert("nw", &data, None).is_err(), "so nothing can be written to it");
+    assert!(!dir.join("nw.snap").exists(), "and no snapshot was committed for it");
+
+    // With the obstacle gone the same BUILD succeeds and logs its writes.
+    std::fs::remove_dir(dir.join("nw.wal")).unwrap();
+    client.build_live("nw", "linear", "euclidean", fvecs.to_str().unwrap(), 0, 16, 4).unwrap();
+    client.insert("nw", &data, None).unwrap();
+    let stats = client.stats().unwrap();
+    assert_eq!(stats.iter().find(|s| s.name == "nw").unwrap().wal_records, 1);
+
+    client.shutdown().unwrap();
+    handle.join().expect("server thread");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// PR-7 background-seal acceptance: a writer streams inserts that cross
 /// the seal threshold over and over while reader connections query the
 /// same entry — every query must be answered (the rebuilds happen off
@@ -994,6 +1035,12 @@ fn calibrated_target_recall_plans_cheap_params_and_survives_restart() {
         manual_scanned += sat_stats.unwrap().candidates_scanned;
         let truth = ExactKnn::single_query(&fx.data, q, 10, Metric::Euclidean);
         recall_sum += recall_of(&hits, &truth);
+        // Planning only picks knobs: the same knobs passed by hand give
+        // the same bytes.
+        let manual =
+            SearchRequest::top_k(10).budget(plan.budget as usize).probes(plan.probes as usize);
+        let (by_hand, _) = client.search("e2e-lccs", q, &manual).unwrap();
+        assert_eq!(bits(&[hits]), bits(&[by_hand]), "planned vs manual, query {qi}");
     }
     let measured = recall_sum / queries.len() as f64;
     assert!(measured >= 0.9, "measured recall {measured:.4} misses the 0.9 target");

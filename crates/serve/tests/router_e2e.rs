@@ -234,6 +234,24 @@ fn three_shard_search_is_byte_identical_to_single_node_union() {
         );
     }
 
+    // One connection loop serves both modes: a malformed frame gets the
+    // same error text, and the same close, from the router as from a
+    // shard.
+    let malformed = |addr: &str| {
+        use serve::protocol::{read_frame, write_frame, Response};
+        let mut raw = std::net::TcpStream::connect(addr).unwrap();
+        write_frame(&mut raw, &[0xEE, 1, 2, 3]).unwrap();
+        let reply = Response::decode(&read_frame(&mut raw).unwrap().expect("a reply")).unwrap();
+        assert!(read_frame(&mut raw).unwrap().is_none(), "{addr} closes after a bad frame");
+        reply
+    };
+    let from_router = malformed(&raddr.to_string());
+    assert!(
+        matches!(&from_router, serve::protocol::Response::Error(m) if m.starts_with("bad request: ")),
+        "{from_router:?}"
+    );
+    assert_eq!(from_router, malformed(&shards[0].addr));
+
     // A restarted router (same --router-dir) routes identically.
     let mut sc = Client::connect(raddr).unwrap();
     sc.shutdown().unwrap();
