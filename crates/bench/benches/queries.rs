@@ -1,11 +1,12 @@
 //! Criterion micro-benches of the end-to-end query paths of every scheme at
 //! a fixed workload — the per-method costs behind Figures 4–5.
 
-use ann::SearchParams;
+use ann::{SearchParams, SearchRequest};
 use bench::bench_data;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use dataset::Metric;
+use dataset::{ExactKnn, Metric, SynthSpec};
 use eval::harness::{build_spec, IndexSpec};
+use lccs_lsh::{LccsLsh, LccsParams};
 use std::sync::Arc;
 
 fn bench_queries(c: &mut Criterion) {
@@ -35,5 +36,41 @@ fn bench_queries(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_queries);
+/// The verification phase alone, set up like the repo benchmark's
+/// `lccs_euclid_100k`: 100 000 × 128-d Sift-like rows (64 MB of f32 rows
+/// and SQ8 codes, far beyond the cache), held-out queries from the same
+/// mixture, `w` = 2 × the mean NN distance, m = 64, and a fixed list of
+/// (λ + k − 1) = 3 209 candidates per query, collected before the clock
+/// starts. A ring of queries keeps the candidate rows cold, as in serving.
+fn bench_verify(c: &mut Criterion) {
+    let (n, k, budget) = (100_000, 10, 3_200);
+    let spec = SynthSpec::sift_like().with_n(n);
+    let data = Arc::new(spec.generate(3));
+    let queries = spec.generate_queries(64, 3);
+    let truth = ExactKnn::compute(&data, &queries, 1, Metric::Euclidean);
+    let w = 2.0 * (0..queries.len()).map(|q| truth.dist(q, 0)).sum::<f64>() / queries.len() as f64;
+    let idx = LccsLsh::build(data, Metric::Euclidean, &LccsParams::euclidean(w).with_m(64));
+    let req = SearchRequest::top_k(k).budget(budget);
+    let mut scratch = csa::SearchScratch::for_csa(idx.csa());
+    let lists: Vec<(&[f32], Vec<csa::Candidate>)> = queries
+        .iter()
+        .map(|q| {
+            let hash = lsh::hash_query(idx.functions(), q);
+            (q, idx.csa().search_with(&hash, budget + k - 1, &mut scratch).0)
+        })
+        .collect();
+    let mut g = c.benchmark_group("verify");
+    g.sample_size(20);
+    let mut turn = 0;
+    g.bench_function(format!("lccs_m64_n{n}_cands{}", budget + k - 1), |b| {
+        b.iter(|| {
+            turn = (turn + 1) % lists.len();
+            let (q, cands) = &lists[turn];
+            idx.verify_request(black_box(q), &req, black_box(cands))
+        });
+    });
+    g.finish();
+}
+
+criterion_group!(benches, bench_queries, bench_verify);
 criterion_main!(benches);

@@ -10,13 +10,19 @@
 //! paper's recall/time curves sweep.
 
 use ann::{SearchRequest, SearchResponse, SearchStats};
-use csa::{Csa, SearchScratch, StringSet};
+use csa::{Candidate, Csa, SearchScratch, StringSet};
 use dataset::exact::Neighbor;
 use dataset::sq8::Sq8Pruner;
 use dataset::{Dataset, Metric};
 use lsh::{hash_dataset, hash_query, sample_family, FamilyKind, FamilyParams, LshFunction};
 use std::sync::Arc;
 use std::time::Instant;
+
+/// Depth `D` of the verification pipeline ([`LccsLsh::verify_request`]):
+/// how many candidates a prefetch runs ahead of the stage that reads the
+/// row — far enough to cover a memory round trip, near enough that the
+/// rows are still cached when their turn comes.
+const PIPELINE_DEPTH: usize = 8;
 
 /// Build-time parameters of LCCS-LSH.
 #[derive(Debug, Clone)]
@@ -248,7 +254,7 @@ impl LccsLsh {
         sq.pruner(q, self.metric)
     }
 
-    /// Verification phase (§4.1): exact distances for the candidate ids,
+    /// Verification phase (§4.1): exact distances for the candidates,
     /// keep the nearest `k` (ascending by distance, ties by id). The
     /// [`SearchRequest`]'s id filter and distance threshold are honored
     /// *inside* the candidate loop: a candidate the filter rejects (or
@@ -256,20 +262,53 @@ impl LccsLsh {
     /// slot, so the k matching rows the λ candidates contain always
     /// survive — post-hoc filtering could evict them.
     ///
+    /// The candidates are random rows of a table far larger than the
+    /// cache, so the loop is software-pipelined over the slice: step `t`
+    /// requests the SQ8 code row of candidate `t`, evaluates the skip
+    /// bound of candidate `t − D` (whose code row has arrived) to decide
+    /// whether its f32 row is worth requesting too, and *verifies*
+    /// candidate `t − 2D`, whose rows have arrived. The first two stages
+    /// only issue prefetches; every decision is taken by the third, in
+    /// candidate order and against the k-th distance of that moment, so
+    /// hits and counters are those of the plain sequential loop.
+    ///
     /// Returns the hits and exact [`SearchStats`] counts (wall time is
     /// filled in by the caller, which owns the whole-query clock).
-    pub(crate) fn verify_request(
+    ///
+    /// Not part of the API: `pub` (and hidden) only so the `verify`
+    /// micro-bench can time this phase over a fixed candidate list. It
+    /// trusts its caller to have validated `req` (`k > 0`) the way
+    /// [`LccsLsh::search_request`], the one entry point for queries, does.
+    #[doc(hidden)]
+    pub fn verify_request(
         &self,
         q: &[f32],
         req: &SearchRequest,
-        ids: impl Iterator<Item = u32>,
+        cands: &[Candidate],
     ) -> (Vec<Neighbor>, SearchStats) {
+        const D: usize = PIPELINE_DEPTH;
         let k = req.k;
         let mut pruner = self.pruner_for(q);
         let mut stats = SearchStats::default();
         let mut heap: std::collections::BinaryHeap<Neighbor> =
             std::collections::BinaryHeap::with_capacity(k + 1);
-        for id in ids {
+        let stage = |t: usize, lag: usize| Some(cands.get(t.checked_sub(lag)?)?.id);
+        for t in 0..cands.len() + 2 * D {
+            if let (Some(p), Some(id)) = (&pruner, stage(t, 0)) {
+                p.prefetch_code_row(id as usize);
+            }
+            if let Some(id) = stage(t, D) {
+                // Prunable now stays prunable (the k-th only shrinks), so
+                // the f32 row of such a candidate is never read.
+                let prunable = heap.len() == k
+                    && pruner.as_mut().is_some_and(|p| {
+                        p.skips(id as usize, heap.peek().expect("non-empty").dist)
+                    });
+                if !prunable {
+                    self.data.prefetch_row(id as usize);
+                }
+            }
+            let Some(id) = stage(t, 2 * D) else { continue };
             stats.candidates_scanned += 1;
             if let Some(f) = &req.filter {
                 if !f.accepts(id) {
@@ -277,12 +316,13 @@ impl LccsLsh {
                 }
             }
             // SQ8 skip bound (after the filter, before the full-width
-            // distance): sound, so hits and counters are unchanged — a
-            // skipped candidate was counted as scanned and could never
-            // have pushed into the heap.
+            // distance): sound, so hits and the other counters are
+            // unchanged — a skipped candidate was counted as scanned and
+            // could never have pushed into the heap.
             if heap.len() == k {
                 if let Some(p) = pruner.as_mut() {
                     if p.skips(id as usize, heap.peek().expect("non-empty").dist) {
+                        stats.sq8_pruned += 1;
                         continue;
                     }
                 }
@@ -334,7 +374,7 @@ impl LccsLsh {
         scratch.hash.clear();
         scratch.hash.extend(hash_query(&self.funcs, q));
         let (cands, _anchors) = self.csa.search_with(&scratch.hash, budget, &mut scratch.csa);
-        let (hits, mut stats) = self.verify_request(q, req, cands.iter().map(|c| c.id));
+        let (hits, mut stats) = self.verify_request(q, req, &cands);
         stats.wall_micros = t0.elapsed().as_micros() as u64;
         SearchResponse { hits, stats }
     }
@@ -343,6 +383,7 @@ impl LccsLsh {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ann::IdFilter;
     use dataset::{ExactKnn, SynthSpec};
 
     fn toy(n: usize, seed: u64) -> Arc<Dataset> {
@@ -456,6 +497,135 @@ mod tests {
         // Far case: a query far beyond the data returns nothing at tiny R.
         let far = vec![1e6f32; data.dim()];
         assert!(idx.query_rnn(&far, 0.5, 2.0, 64).is_none());
+    }
+
+    /// The verification loop with no pipeline around it: the reference
+    /// the pipelined [`LccsLsh::verify_request`] must agree with on hits
+    /// and counters. Also returns how many full-width distances it took.
+    fn verify_straight_line(
+        idx: &LccsLsh,
+        q: &[f32],
+        req: &SearchRequest,
+        cands: &[Candidate],
+    ) -> (Vec<Neighbor>, SearchStats, u64) {
+        let mut pruner = idx.pruner_for(q);
+        let mut stats = SearchStats::default();
+        let mut evaluated = 0;
+        let mut top: Vec<Neighbor> = Vec::new();
+        for c in cands {
+            stats.candidates_scanned += 1;
+            if req.filter.as_ref().is_some_and(|f| !f.accepts(c.id)) {
+                continue;
+            }
+            if top.len() == req.k {
+                let kth = top[req.k - 1].dist;
+                if pruner.as_mut().is_some_and(|p| p.skips(c.id as usize, kth)) {
+                    stats.sq8_pruned += 1;
+                    continue;
+                }
+            }
+            evaluated += 1;
+            let s = idx.metric.surrogate_unchecked(idx.data.get(c.id as usize), q);
+            if req.max_dist.is_some_and(|d| idx.metric.from_surrogate(s) > d) {
+                continue;
+            }
+            let cand = Neighbor { id: c.id, dist: s };
+            if top.len() < req.k || cand < top[req.k - 1] {
+                top.truncate(req.k - 1);
+                top.push(cand);
+                top.sort();
+                stats.heap_pushes += 1;
+            }
+        }
+        for n in &mut top {
+            n.dist = idx.metric.from_surrogate(n.dist);
+        }
+        (top, stats, evaluated)
+    }
+
+    fn bits(n: usize, seed: u64) -> Arc<Dataset> {
+        let raw = SynthSpec::new("b", n, 32).with_clusters(8).generate(seed);
+        let flat: Vec<f32> = raw.as_flat().iter().map(|&x| f32::from(x > 0.0)).collect();
+        Arc::new(Dataset::from_flat("bits", 32, flat))
+    }
+
+    #[test]
+    fn pipelined_verification_matches_the_straight_line_loop() {
+        const D: usize = PIPELINE_DEPTH;
+        let k = 3;
+        let angular = Arc::new(SynthSpec::new("a", 900, 24).with_clusters(6).generate(31).normalized());
+        let indexes = [
+            LccsLsh::build(toy(900, 30), Metric::Euclidean, &LccsParams::euclidean(8.0).with_m(16)),
+            LccsLsh::build(angular, Metric::Angular, &LccsParams::angular().with_m(16)),
+            LccsLsh::build(bits(900, 32), Metric::Hamming, &LccsParams::hamming().with_m(16)),
+        ];
+        for idx in &indexes {
+            assert_eq!(
+                idx.pruner_for(idx.data.get(0)).is_some(),
+                idx.metric != Metric::Hamming,
+                "Euclidean and unit-norm Angular prune, Hamming has no pruner"
+            );
+            let mut scratch = idx.scratch();
+            let mut pruned = 0;
+            for qi in [0usize, 411, 899] {
+                let q = idx.data.get(qi).to_vec();
+                for len in [k, D - 1, D, 2 * D - 1, 2 * D, 2 * D + 1, 50 * D] {
+                    let base = SearchRequest::top_k(k).budget(len + 1 - k);
+                    // A threshold that cuts inside the unfiltered answer.
+                    let cut = idx.search_request(&q, &base, &mut scratch).hits.last().map(|n| n.dist);
+                    let odd = IdFilter::deny((0..900).filter(|i| i % 2 == 1).collect::<Vec<u32>>());
+                    for req in [
+                        base.clone(),
+                        base.clone().filter(odd.clone()),
+                        base.clone().max_dist(cut.unwrap_or(1.0) * 0.9),
+                        base.clone().filter(odd).max_dist(cut.unwrap_or(1.0) * 1.5),
+                    ] {
+                        let hash = hash_query(&idx.funcs, &q);
+                        let cands = idx.csa.search(&hash, len);
+                        assert_eq!(cands.len(), len, "the budget fixes the list length");
+                        let (hits, stats, _) = verify_straight_line(idx, &q, &req, &cands);
+                        let got = idx.search_request(&q, &req, &mut scratch);
+                        let label = format!("{:?} q{qi} len {len} {req:?}", idx.metric);
+                        assert_eq!(got.hits, hits, "{label}");
+                        assert_eq!(got.stats.candidates_scanned, stats.candidates_scanned, "{label}");
+                        assert_eq!(got.stats.heap_pushes, stats.heap_pushes, "{label}");
+                        assert_eq!(got.stats.sq8_pruned, stats.sq8_pruned, "{label}");
+                        assert_eq!(got.stats.plan, None, "{label}");
+                        pruned += stats.sq8_pruned;
+                    }
+                }
+            }
+            assert_eq!(pruned > 0, idx.metric != Metric::Hamming, "{:?} pruned {pruned}", idx.metric);
+        }
+    }
+
+    #[test]
+    fn verification_counts_what_the_sq8_bound_prunes() {
+        let data = toy(3000, 40);
+        let params = LccsParams::euclidean(8.0).with_m(16);
+        let idx = LccsLsh::build(data.clone(), Metric::Euclidean, &params);
+        // The same index over a dataset that carries no code table.
+        let plain = Arc::new(Dataset::from_flat("plain", data.dim(), data.as_flat().to_vec()));
+        let funcs = sample_family(params.family, data.dim(), params.m, &params.family_params, params.seed);
+        let unpruned = LccsLsh::from_parts(plain, Metric::Euclidean, funcs, idx.csa.clone(), params);
+        assert!(unpruned.pruner_for(data.get(0)).is_none());
+
+        let req = SearchRequest::top_k(5).budget(800);
+        for qi in [3usize, 1500, 2999] {
+            let q = data.get(qi);
+            let got = idx.search_request(q, &req, &mut idx.scratch());
+            let base = unpruned.search_request(q, &req, &mut unpruned.scratch());
+            assert_eq!(got.hits, base.hits, "pruning never changes the answer");
+            assert_eq!(base.stats.sq8_pruned, 0);
+            assert!(got.stats.sq8_pruned > 0, "clustered data with budget >> k prunes");
+
+            let hash = hash_query(&idx.funcs, q);
+            let cands = idx.csa.search(&hash, 800 + 5 - 1);
+            let (_, _, evaluated) = verify_straight_line(&idx, q, &req, &cands);
+            assert_eq!(got.stats.sq8_pruned + evaluated, got.stats.candidates_scanned);
+            assert_eq!(got.stats.candidates_scanned, base.stats.candidates_scanned);
+            assert_eq!(got.stats.heap_pushes, base.stats.heap_pushes);
+        }
     }
 
     #[test]

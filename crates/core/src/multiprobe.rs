@@ -256,7 +256,7 @@ impl MpLccsLsh {
         let t0 = std::time::Instant::now();
         let probes = if req.probes == 0 { self.mp.probes } else { req.probes };
         let cands = self.probe_candidates(q, req.k, req.budget, probes, scratch);
-        let (hits, mut stats) = self.inner.verify_request(q, req, cands.iter().map(|c| c.id));
+        let (hits, mut stats) = self.inner.verify_request(q, req, &cands);
         stats.wall_micros = t0.elapsed().as_micros() as u64;
         ann::SearchResponse { hits, stats }
     }

@@ -30,7 +30,7 @@ impl AnnIndex for LccsLsh {
 
     fn query_with(&self, q: &[f32], p: &SearchParams, scratch: &mut Scratch) -> Vec<Neighbor> {
         let s = scratch.get_valid_with(
-            |s: &QueryScratch| s.csa.capacity() == self.data().len(),
+            |s: &QueryScratch| s.csa.fits(self.csa()),
             || self.scratch(),
         );
         LccsLsh::query_with(self, q, p.k, p.budget, s).neighbors
@@ -42,7 +42,7 @@ impl AnnIndex for LccsLsh {
     /// slots and the λ budget keeps its meaning under predicates.
     fn search_with(&self, q: &[f32], req: &SearchRequest, scratch: &mut Scratch) -> SearchResponse {
         let s = scratch.get_valid_with(
-            |s: &QueryScratch| s.csa.capacity() == self.data().len(),
+            |s: &QueryScratch| s.csa.fits(self.csa()),
             || self.scratch(),
         );
         LccsLsh::search_request(self, q, req, s)
@@ -78,7 +78,7 @@ impl AnnIndex for MpLccsLsh {
     /// any positive value overrides it per query.
     fn query_with(&self, q: &[f32], p: &SearchParams, scratch: &mut Scratch) -> Vec<Neighbor> {
         let s: &mut QueryScratch = scratch.get_valid_with(
-            |s: &QueryScratch| s.csa.capacity() == self.inner().data().len(),
+            |s: &QueryScratch| s.csa.fits(self.inner().csa()),
             || self.scratch(),
         );
         self.query_probes(q, p.k, p.budget, p.probes, s).neighbors
@@ -88,7 +88,7 @@ impl AnnIndex for MpLccsLsh {
     /// plus in-loop filtering (see [`MpLccsLsh::search_request`]).
     fn search_with(&self, q: &[f32], req: &SearchRequest, scratch: &mut Scratch) -> SearchResponse {
         let s: &mut QueryScratch = scratch.get_valid_with(
-            |s: &QueryScratch| s.csa.capacity() == self.inner().data().len(),
+            |s: &QueryScratch| s.csa.fits(self.inner().csa()),
             || self.scratch(),
         );
         MpLccsLsh::search_request(self, q, req, s)
@@ -177,6 +177,37 @@ mod tests {
                 assert!(resp.stats.candidates_scanned > 0, "stats are collected");
             }
             assert_eq!(idx.len(), 400);
+        }
+    }
+
+    #[test]
+    fn a_scratch_from_an_index_with_another_m_is_replaced() {
+        // Same rows, different m: the seen-set fits but the merge's cursor
+        // and level tables do not, so the scratch must be rebuilt — in both
+        // directions, for both schemes, on both trait entry points.
+        let data = toy();
+        let build = |m| {
+            LccsLsh::build(data.clone(), Metric::Euclidean, &LccsParams::euclidean(8.0).with_m(m))
+        };
+        let (small, large) = (build(8), build(40));
+        let mp = MpLccsLsh::build(
+            data.clone(),
+            Metric::Euclidean,
+            &LccsParams::euclidean(8.0).with_m(24),
+            MpParams { probes: 4, max_alts: 4 },
+        );
+        let req = SearchRequest::top_k(5).budget(64);
+        let q = data.get(7);
+        let mut scratch = small.make_scratch();
+        let order = [&large as &dyn AnnIndex, &mp, &small, &large, &mp, &small];
+        for (turn, idx) in order.into_iter().enumerate() {
+            // The hand-over lands on `search_with` and `query_with` in turn.
+            let hits = if turn % 2 == 0 {
+                idx.search_with(q, &req, &mut scratch).hits
+            } else {
+                idx.query_with(q, &req.params(), &mut scratch)
+            };
+            assert_eq!(hits, idx.search(q, &req).hits, "{} at turn {turn}", idx.name());
         }
     }
 

@@ -14,8 +14,12 @@
 //! `m` next-link arrays `N_1..N_m` connecting consecutive rotations
 //! (Algorithm 1). Queries run one full binary search on `I_1`, then narrowed
 //! binary searches on each subsequent rotation (Lemma 3.1 / Corollary 3.2),
-//! and finally a 2m-way sorted-merge over a max-priority-queue (Algorithm 2).
-//! The expected query cost is `O(log n + (m + k) log m)` (Theorem 3.1).
+//! and finally a 2m-way sorted merge of the anchored cursors (Algorithm 2).
+//! The paper merges through a max-priority-queue, for an expected query cost
+//! of `O(log n + (m + k) log m)` (Theorem 3.1); [`search`] files the cursors
+//! in one bucket per LCP length and lets each run while its LCP holds —
+//! the queue's pop order exactly, without its `log m` per step (the queue
+//! itself survives as the test oracle [`naive::k_lccs_heap_reference`]).
 //!
 //! This crate is self-contained (strings are plain `u64` symbol rows) and —
 //! as the paper notes — "potentially of separate interest": nothing in here

@@ -1,10 +1,15 @@
 //! Naive reference implementations of LCCS and k-LCCS search.
 //!
-//! Direct transcriptions of Definitions 3.1–3.3 and Fact 3.1, used as the
-//! oracle for unit and property tests of the CSA fast path. `O(n · m²)` per
-//! query — never use outside tests/benches.
+//! Direct transcriptions of Definitions 3.1–3.3 and Fact 3.1 (`O(n · m²)`
+//! per query), plus Algorithm 2's priority-queue merge as written — the
+//! oracles for unit and property tests of the CSA fast path. Never use
+//! outside tests/benches.
 
+use crate::build::Csa;
 use crate::circ::{lcp_shifted, StringSet};
+use crate::search::Candidate;
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 /// `|LCCS(t, q)|` by Fact 3.1:
 /// `LCCS(T, Q) = max_i LCP(shift(T, i), shift(Q, i))`.
@@ -29,6 +34,82 @@ pub fn k_lccs_naive(set: &StringSet, q: &[u64], k: usize) -> Vec<(u32, usize)> {
     scored.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
     scored.truncate(k);
     scored
+}
+
+/// One cursor of [`k_lccs_heap_reference`]'s queue.
+#[derive(Debug, PartialEq, Eq)]
+struct HeapEntry {
+    len: u32,
+    s: u32,
+    pos: u32,
+    dir: i8,
+}
+
+impl Ord for HeapEntry {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // Max-heap on LCP length; ties broken by rotation, position, then
+        // direction, all ascending.
+        self.len
+            .cmp(&other.len)
+            .then_with(|| other.s.cmp(&self.s))
+            .then_with(|| other.pos.cmp(&self.pos))
+            .then_with(|| other.dir.cmp(&self.dir))
+    }
+}
+
+impl PartialOrd for HeapEntry {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// Phase 2 of Algorithm 2 as the paper writes it — a max-priority-queue
+/// over the boundary cursors of `rotations`, one pop and one push per step —
+/// and the *order* oracle for [`Csa::search_with`] and
+/// [`Csa::probe_rotations`], whose run merge must emit the same ids with the
+/// same lengths in the same order. Each listed rotation is anchored with a
+/// full binary search (out-of-range entries are skipped, repeated ones push
+/// their cursors again); ids already marked in `seen` (one flag per string)
+/// are not emitted, and emitted ids are marked, so a query continues across
+/// calls the way it does across probes.
+///
+/// # Panics
+/// Panics if `q.len() != csa.m()` or `seen.len() != csa.len()`.
+pub fn k_lccs_heap_reference(
+    csa: &Csa,
+    q: &[u64],
+    rotations: &[usize],
+    k: usize,
+    seen: &mut [bool],
+) -> Vec<Candidate> {
+    assert_eq!(q.len(), csa.m(), "query length must equal m");
+    assert_eq!(seen.len(), csa.len(), "one seen flag per string");
+    let n = csa.len();
+    let mut heap = BinaryHeap::new();
+    for &s in rotations.iter().filter(|&&s| s < csa.m()) {
+        let row = csa.binary_search_full(q, s);
+        if row.pos_l >= 0 {
+            heap.push(HeapEntry { len: row.len_l, s: s as u32, pos: row.pos_l as u32, dir: -1 });
+        }
+        if (row.pos_u as usize) < n {
+            heap.push(HeapEntry { len: row.len_u, s: s as u32, pos: row.pos_u as u32, dir: 1 });
+        }
+    }
+    let mut out = Vec::new();
+    while out.len() < k {
+        let Some(e) = heap.pop() else { break };
+        let id = csa.id_at(e.s as usize, e.pos as usize);
+        if !std::mem::replace(&mut seen[id as usize], true) {
+            out.push(Candidate { id, len: e.len });
+        }
+        let next_pos = i64::from(e.pos) + i64::from(e.dir);
+        if next_pos >= 0 && (next_pos as usize) < n {
+            let nid = csa.id_at(e.s as usize, next_pos as usize) as usize;
+            let len = csa.strings().lcp_row_query(nid, q, e.s as usize) as u32;
+            heap.push(HeapEntry { len, s: e.s, pos: next_pos as u32, dir: e.dir });
+        }
+    }
+    out
 }
 
 #[cfg(test)]

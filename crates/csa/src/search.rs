@@ -6,17 +6,32 @@
 //! result is, per rotation `s`, the positions of `T_{l,s}` (greatest string
 //! ⪯ the rotated query) and `T_{u,s}` (least string ≻ it) plus their LCPs.
 //!
-//! Phase 2 (merging): a max-priority-queue performs a 2m-way merge over the
-//! anchored cursors, expanding each popped cursor one position outward in
-//! its direction. Because the LCP against the query is non-increasing as a
-//! cursor moves away from its anchor (Fact 3.2), the queue pops objects in
-//! exactly non-increasing LCP order — so the first time an object surfaces,
-//! it surfaces at its true LCCS length, and the first `k` distinct objects
-//! are an exact k-LCCS answer (see `tests::matches_naive_reference`).
+//! Phase 2 (merging): a level-bucket run merge over the `2m` anchored
+//! cursors. A cursor is filed under its current LCP against the query — its
+//! *level*, `0..=m`. Levels are walked from the top down and the cursors of
+//! a level in `(s, dir)` order, the `−1` cursor of a rotation before its
+//! `+1` cursor; the visited cursor *runs*: emit the id under it if unseen,
+//! step one position outward, take the new LCP, and repeat until that LCP
+//! falls below the level, at which point the cursor is filed under its new,
+//! strictly lower level.
+//!
+//! This is the order Algorithm 2's max-priority-queue pops in when ties on
+//! the LCP break by `(s, pos, dir)` ascending
+//! ([`crate::naive::k_lccs_heap_reference`], the test oracle): no two
+//! cursors share `(s, dir)`; at one level the `−1` cursor of a rotation sits
+//! at smaller positions than its `+1` cursor; and a popped cursor whose LCP
+//! did not drop is the smallest key left, hence the very next pop — so the
+//! queue, too, lets every cursor run. The bucket version does it with no
+//! comparison and no sift. Because the LCP against the query is
+//! non-increasing as a cursor moves away from its anchor (Fact 3.2), a
+//! cursor only ever re-enters at a lower level, so with the levels walked
+//! downward objects still surface in non-increasing LCP order: the first
+//! time an object surfaces, it surfaces at its true LCCS length, and the
+//! first `k` distinct objects are an exact k-LCCS answer (see
+//! `tests::matches_naive_reference`).
 
 use crate::build::Csa;
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
 /// One search result: a string id and its LCCS length with the query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,24 +91,40 @@ impl Anchors {
 }
 
 /// Reusable per-query scratch: the seen-set (query-epoch stamps) and the
-/// cursor heap. Reusing it across queries removes all per-query allocation.
+/// merge's cursor table. Reusing it across queries removes all per-query
+/// allocation.
 #[derive(Debug, Default)]
 pub struct SearchScratch {
     stamp: Vec<u32>,
     epoch: u32,
-    heap: BinaryHeap<HeapEntry>,
+    /// Position in `I_s` of the cursor in slot `2s` (direction −1) or
+    /// `2s + 1` (direction +1); meaningful only while the slot is filed.
+    cursor: Vec<u32>,
+    /// One bitset of filed slots per level, level-major, `words` per level.
+    /// Ascending bit order is the merge's `(s, dir)` order.
+    levels: Vec<u64>,
+    words: usize,
 }
 
 impl SearchScratch {
     /// Scratch sized for `csa`.
     pub fn for_csa(csa: &Csa) -> Self {
-        Self { stamp: vec![0; csa.len()], epoch: 0, heap: BinaryHeap::new() }
+        let slots = 2 * csa.m();
+        let words = slots.div_ceil(64);
+        Self {
+            stamp: vec![0; csa.len()],
+            epoch: 0,
+            cursor: vec![0; slots],
+            levels: vec![0; (csa.m() + 1) * words],
+            words,
+        }
     }
 
-    /// The string count this scratch was sized for; reusing it with a CSA
-    /// of a different size is invalid.
-    pub fn capacity(&self) -> usize {
-        self.stamp.len()
+    /// Whether this scratch has the shape of `csa` — its string count (the
+    /// seen-set) and its `m` (the cursor and level tables). Searching `csa`
+    /// with a scratch that does not fit is invalid.
+    pub fn fits(&self, csa: &Csa) -> bool {
+        self.stamp.len() == csa.len() && self.cursor.len() == 2 * csa.m()
     }
 
     /// Starts a new logical query: clears the seen-set in O(1).
@@ -104,7 +135,19 @@ impl SearchScratch {
             self.stamp.fill(0);
             self.epoch = 1;
         }
-        self.heap.clear();
+        self.clear_cursors();
+    }
+
+    /// Drops every filed cursor (the seen-set is kept).
+    fn clear_cursors(&mut self) {
+        self.levels.fill(0);
+    }
+
+    /// Files the cursor of `slot`, now at `pos`, under `level`.
+    #[inline]
+    fn file(&mut self, slot: usize, pos: usize, level: usize) {
+        self.cursor[slot] = pos as u32;
+        self.levels[level * self.words + slot / 64] |= 1 << (slot % 64);
     }
 
     #[inline]
@@ -119,36 +162,10 @@ impl SearchScratch {
     }
 }
 
-#[derive(Debug, PartialEq, Eq)]
-struct HeapEntry {
-    len: u32,
-    s: u32,
-    pos: u32,
-    dir: i8,
-}
-
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Max-heap on LCP length; ties broken by rotation then position for
-        // determinism.
-        self.len
-            .cmp(&other.len)
-            .then_with(|| other.s.cmp(&self.s))
-            .then_with(|| other.pos.cmp(&self.pos))
-            .then_with(|| other.dir.cmp(&self.dir))
-    }
-}
-
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
 impl Csa {
     /// Full binary search of rotation `s` for the rotated query (Algorithm 2
     /// line 2 / line 9): returns the anchor row.
-    fn binary_search_full(&self, q: &[u64], s: usize) -> AnchorRow {
+    pub(crate) fn binary_search_full(&self, q: &[u64], s: usize) -> AnchorRow {
         self.binary_search_window(q, s, 0, self.len())
     }
 
@@ -259,7 +276,7 @@ impl Csa {
         scratch: &mut SearchScratch,
     ) -> Vec<Candidate> {
         assert_eq!(q.len(), self.m(), "query length must equal m");
-        scratch.heap.clear();
+        scratch.clear_cursors();
         for &s in rotations {
             if s >= self.m() {
                 continue;
@@ -276,27 +293,22 @@ impl Csa {
         }
     }
 
+    /// Files the two boundary cursors of rotation `s`. A rotation listed
+    /// twice lands in the same two slots with the same values — the queue
+    /// would carry the copies, but a copy only ever retraces its original
+    /// over ids already seen, so the emitted list is the same.
     fn push_anchor(&self, s: usize, row: AnchorRow, scratch: &mut SearchScratch) {
         if row.pos_l >= 0 {
-            scratch.heap.push(HeapEntry {
-                len: row.len_l,
-                s: s as u32,
-                pos: row.pos_l as u32,
-                dir: -1,
-            });
+            scratch.file(2 * s, row.pos_l as usize, row.len_l as usize);
         }
         if (row.pos_u as usize) < self.len() {
-            scratch.heap.push(HeapEntry {
-                len: row.len_u,
-                s: s as u32,
-                pos: row.pos_u as u32,
-                dir: 1,
-            });
+            scratch.file(2 * s + 1, row.pos_u as usize, row.len_u as usize);
         }
     }
 
-    /// Lines 12–15: pop cursors in non-increasing LCP order, emit unseen
-    /// ids, advance each popped cursor outward.
+    /// Lines 12–15 as a run merge (module docs): levels downward, the
+    /// slots of a level in order, each cursor run until its LCP leaves the
+    /// level. Stops at the `k`-th emitted id.
     fn drain_candidates(
         &self,
         q: &[u64],
@@ -305,22 +317,47 @@ impl Csa {
     ) -> Vec<Candidate> {
         let n = self.len();
         let mut out = Vec::with_capacity(k.min(n));
-        while out.len() < k {
-            let Some(e) = scratch.heap.pop() else { break };
-            let id = self.id_at(e.s as usize, e.pos as usize);
-            if scratch.mark_new(id) {
-                out.push(Candidate { id, len: e.len });
-            }
-            let next_pos = e.pos as i64 + i64::from(e.dir);
-            if next_pos >= 0 && (next_pos as usize) < n {
-                let nid = self.id_at(e.s as usize, next_pos as usize) as usize;
-                let len = self.strings().lcp_row_query(nid, q, e.s as usize) as u32;
-                scratch.heap.push(HeapEntry {
-                    len,
-                    s: e.s,
-                    pos: next_pos as u32,
-                    dir: e.dir,
-                });
+        if k == 0 {
+            return out;
+        }
+        for level in (0..=self.m()).rev() {
+            for w in 0..scratch.words {
+                // Running a cursor files only below `level`, so the word
+                // can be taken whole.
+                let mut bits = std::mem::take(&mut scratch.levels[level * scratch.words + w]);
+                while bits != 0 {
+                    let slot = w * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    let (s, up) = (slot / 2, slot % 2 == 1);
+                    let ids = &self.sorted[s * n..(s + 1) * n];
+                    let mut pos = scratch.cursor[slot] as usize;
+                    loop {
+                        let id = ids[pos];
+                        if scratch.mark_new(id) {
+                            out.push(Candidate { id, len: level as u32 });
+                            if out.len() == k {
+                                return out;
+                            }
+                        }
+                        if up {
+                            pos += 1;
+                            if pos == n {
+                                break;
+                            }
+                        } else {
+                            if pos == 0 {
+                                break;
+                            }
+                            pos -= 1;
+                        }
+                        let len = self.strings().lcp_row_query(ids[pos] as usize, q, s);
+                        debug_assert!(len <= level, "Fact 3.2: LCP cannot grow outward");
+                        if len < level {
+                            scratch.file(slot, pos, len);
+                            break;
+                        }
+                    }
+                }
             }
         }
         out
@@ -466,6 +503,18 @@ mod tests {
         let (a2, _) = csa.search_with(&q2, 5, &mut scratch);
         assert_eq!(a1, csa.search(&q1, 5));
         assert_eq!(a2, csa.search(&q2, 5));
+    }
+
+    #[test]
+    fn scratch_fits_only_its_own_shape() {
+        let build = |n, m| Csa::build(StringSet::from_rows(&lcg_rows(n, m, 3, 5)));
+        let csa = build(40, 6);
+        let scratch = SearchScratch::for_csa(&csa);
+        assert!(scratch.fits(&csa));
+        assert!(scratch.fits(&build(40, 6)));
+        assert!(!scratch.fits(&build(41, 6)), "another string count");
+        assert!(!scratch.fits(&build(40, 5)), "same n, smaller m");
+        assert!(!scratch.fits(&build(40, 40)), "same n, larger m");
     }
 
     #[test]

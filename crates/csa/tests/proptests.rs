@@ -5,7 +5,7 @@
 //! sizes, and query distributions, including adversarial cases (tiny
 //! alphabets → heavy ties and duplicate strings).
 
-use csa::{circ, naive, Csa, StringSet};
+use csa::{circ, naive, Csa, SearchScratch, StringSet};
 use proptest::prelude::*;
 
 fn string_set(max_n: usize, max_m: usize, max_sym: u64) -> impl Strategy<Value = Vec<Vec<u64>>> {
@@ -14,8 +14,70 @@ fn string_set(max_n: usize, max_m: usize, max_sym: u64) -> impl Strategy<Value =
     })
 }
 
+/// A query for the merge-order tests: the hash string, a rotation list for
+/// a follow-up probe (may repeat, be unsorted, be empty, name rotations
+/// ≥ m), and the two budgets.
+type MergeQuery = (Vec<u64>, Vec<usize>, usize, usize);
+
+/// A string set over an alphabet of 2–4 symbols (duplicate strings and
+/// sentinel anchors occur, LCPs pile up on a few lengths) with `m ≤ 12`,
+/// and up to `max_queries` queries against it with budgets `1..=n`.
+fn merge_case(max_queries: usize) -> impl Strategy<Value = (Vec<Vec<u64>>, Vec<MergeQuery>)> {
+    (2u64..=4, 1usize..=40, 1usize..=12).prop_flat_map(move |(alphabet, n, m)| {
+        let sym = || proptest::collection::vec(0..alphabet, m);
+        let query = (
+            sym(),
+            proptest::collection::vec(0..m + 3, 0..=2 * m),
+            1..=n,
+            1..=n,
+        );
+        (
+            proptest::collection::vec(sym(), n),
+            proptest::collection::vec(query, 1..=max_queries),
+        )
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The run merge emits exactly what Algorithm 2's priority queue pops
+    /// — same ids, same lengths, same order, so the budget cut-off keeps
+    /// the same candidates — for a search, and for probes continuing it
+    /// (seen-set carried over) with rotation lists that repeat, are out of
+    /// order, are empty, or name rotations that do not exist.
+    #[test]
+    fn merge_equals_heap_reference((rows, queries) in merge_case(4)) {
+        let csa = Csa::build(StringSet::from_rows(&rows));
+        let all: Vec<usize> = (0..csa.m()).collect();
+        let (q, _, k, _) = &queries[0];
+        let mut scratch = SearchScratch::for_csa(&csa);
+        let mut seen = vec![false; csa.len()];
+        let (fast, _) = csa.search_with(q, *k, &mut scratch);
+        prop_assert_eq!(fast, naive::k_lccs_heap_reference(&csa, q, &all, *k, &mut seen));
+        for (probe, rotations, _, k) in &queries {
+            let fast = csa.probe_rotations(probe, rotations, *k, &mut scratch);
+            let slow = naive::k_lccs_heap_reference(&csa, probe, rotations, *k, &mut seen);
+            prop_assert_eq!(fast, slow, "rotations {:?}", rotations);
+        }
+    }
+
+    /// One scratch reused across many queries (each a search plus a probe,
+    /// each cut off with cursors still filed) answers like a fresh one.
+    #[test]
+    fn reused_scratch_equals_fresh_scratch((rows, queries) in merge_case(12)) {
+        let csa = Csa::build(StringSet::from_rows(&rows));
+        let mut reused = SearchScratch::for_csa(&csa);
+        for (q, rotations, k, k_probe) in &queries {
+            let mut fresh = SearchScratch::for_csa(&csa);
+            let (a, _) = csa.search_with(q, *k, &mut reused);
+            let (b, _) = csa.search_with(q, *k, &mut fresh);
+            prop_assert_eq!(a, b);
+            let a = csa.probe_rotations(q, rotations, *k_probe, &mut reused);
+            let b = csa.probe_rotations(q, rotations, *k_probe, &mut fresh);
+            prop_assert_eq!(a, b);
+        }
+    }
 
     /// Fact 3.1: LCCS via max-over-rotations LCP equals the definitional
     /// maximum over materialized rotations.

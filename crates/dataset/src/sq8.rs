@@ -362,6 +362,17 @@ impl Sq8Pruner<'_> {
         }
     }
 
+    /// Hints the CPU to start loading code row `row` into cache
+    /// ([`mm::prefetch_read`]), ahead of the [`Sq8Pruner::skips`] call
+    /// that will read it. Never changes a result.
+    ///
+    /// # Panics
+    /// Panics if `row` is not an encoded row.
+    #[inline]
+    pub fn prefetch_code_row(&self, row: usize) {
+        mm::prefetch_read(self.sq.code_row(row));
+    }
+
     /// Whether code row `row` is provably outside the current top-k
     /// given the k-th surrogate distance `kth_surrogate`.
     #[inline]

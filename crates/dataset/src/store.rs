@@ -160,6 +160,17 @@ impl Dataset {
         &self.data.as_slice()[i * self.dim..(i + 1) * self.dim]
     }
 
+    /// Hints the CPU to start loading vector `i` into cache
+    /// ([`mm::prefetch_read`]): for loops that know a few iterations
+    /// ahead which rows they will read. Never changes a result.
+    ///
+    /// # Panics
+    /// Panics if `i >= len()`.
+    #[inline]
+    pub fn prefetch_row(&self, i: usize) {
+        mm::prefetch_read(self.get(i));
+    }
+
     /// Iterator over all vectors in id order.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = VectorView<'_>> {
         self.data.as_slice().chunks_exact(self.dim)

@@ -27,6 +27,12 @@ bench-smoke:
 bench-contract:
     cargo test --manifest-path benchmark/Cargo.toml
 
+# Before/after numbers for one workload of the repo's benchmark: run this
+# in the parent checkout and in the change's with the same SEED_BASE and
+# compare the printed medians and quartiles (benchmark/aa.sh, one set).
+perf-pair workload runs="10" seed_base="1000":
+    bash benchmark/aa.sh {{runs}} 1 {{seed_base}} {{workload}}
+
 # The paper's figure/table experiments at a reduced scale.
 figures out="results":
     cargo run -p bench --release --bin table2 -- --out {{out}}
