@@ -5,9 +5,14 @@
 //! result` closure over `n` work items with:
 //!
 //! * **chunked dynamic scheduling** — workers repeatedly claim the next
-//!   chunk of indices from a shared atomic cursor, so a slow query (a
+//!   chunk of 16 indices from a shared atomic cursor, so a slow query (a
 //!   dense CSA region, a deep probe sequence) never stalls the batch the
 //!   way static partitioning would;
+//! * **no threads for one chunk** — a batch of at most 16 items is a
+//!   single claim, so it runs in index order on the calling thread
+//!   ([`runs_inline`]). The live index's memtable-plus-segments fan-out
+//!   and the router's per-shard fan-out are this case: a handful of
+//!   units, answered one after another on the request's thread;
 //! * **per-thread scratch reuse** — each worker builds one scratch
 //!   (CSA cursors, dedup stamps, hash buffers) and reuses it for every
 //!   query it claims, the same amortization the paper's single-threaded
@@ -46,8 +51,18 @@ pub fn worker_threads(n: usize) -> usize {
         .min(n.max(1))
 }
 
+/// Whether a batch of `n` items runs in order on the calling thread: it
+/// fits one chunk — the first claim on the cursor would hand a single
+/// worker every item, so spawning buys nothing — or one worker is all
+/// the host offers. Callers that keep state across calls on the inline
+/// path ([`par_map_scratch`] makes one scratch there) branch on this.
+pub fn runs_inline(n: usize) -> bool {
+    n <= CHUNK || worker_threads(n) <= 1
+}
+
 /// Runs `f(i, &mut scratch)` for every `i in 0..n` across worker threads
-/// and returns the results in index order.
+/// (on the calling thread when [`runs_inline`]) and returns the results
+/// in index order.
 ///
 /// `make_scratch` runs once per worker; `f` must be pure with respect to
 /// the scratch (reusing it only as an allocation cache) for the output to
@@ -59,11 +74,11 @@ where
     MS: Fn() -> S + Sync,
     F: Fn(usize, &mut S) -> R + Sync,
 {
-    let threads = worker_threads(n);
-    if threads <= 1 {
+    if runs_inline(n) {
         let mut scratch = make_scratch();
         return (0..n).map(|i| f(i, &mut scratch)).collect();
     }
+    let threads = worker_threads(n);
     let cursor = AtomicUsize::new(0);
     let slots: Vec<OnceLock<R>> = (0..n).map(|_| OnceLock::new()).collect();
     std::thread::scope(|scope| {
@@ -166,6 +181,20 @@ mod tests {
         assert!(none.is_empty());
         let one = par_map_scratch(1, || (), |i, ()| i + 7);
         assert_eq!(one, vec![7]);
+    }
+
+    #[test]
+    fn a_batch_that_fits_one_chunk_runs_on_the_caller() {
+        let caller = std::thread::current().id();
+        for n in [1, 5, CHUNK] {
+            assert!(runs_inline(n));
+            let ran_on = par_map_scratch(n, || (), |i, ()| (i, std::thread::current().id()));
+            for (i, (item, thread)) in ran_on.into_iter().enumerate() {
+                assert_eq!(item, i, "index order");
+                assert_eq!(thread, caller, "item {i} of {n} left the calling thread");
+            }
+        }
+        assert_eq!(runs_inline(CHUNK + 1), worker_threads(CHUNK + 1) <= 1);
     }
 
     #[test]

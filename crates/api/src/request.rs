@@ -38,7 +38,10 @@ pub const DEFAULT_BUDGET: usize = 128;
 ///
 /// The id list is stored sorted and deduplicated (the constructors
 /// normalize), so [`IdFilter::accepts`] is a binary search — cheap enough
-/// to sit inside a verification loop.
+/// to sit inside a verification loop. A list that covers at least one id
+/// in 64 of the range it spans (a live segment's tombstone mask, a
+/// tenant's share of a dense id space) also gets a bitset over that
+/// range, and membership becomes one indexed load.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IdFilter {
     /// `true` = allowlist (only these ids may match), `false` = denylist
@@ -46,13 +49,25 @@ pub struct IdFilter {
     allow: bool,
     /// Sorted, deduplicated ids.
     ids: Vec<u32>,
+    /// Bit `id` is set iff `ids` lists `id` — present only for a dense
+    /// list (never more words than ids, so a filter decoded off the wire
+    /// cannot make it large), empty otherwise.
+    bits: Vec<u64>,
 }
 
 impl IdFilter {
     fn normalized(allow: bool, mut ids: Vec<u32>) -> IdFilter {
         ids.sort_unstable();
         ids.dedup();
-        IdFilter { allow, ids }
+        let words = ids.last().map_or(0, |&max| max as usize / 64 + 1);
+        let mut bits = Vec::new();
+        if words <= ids.len() {
+            bits = vec![0u64; words];
+            for &id in &ids {
+                bits[id as usize / 64] |= 1 << (id % 64);
+            }
+        }
+        IdFilter { allow, ids, bits }
     }
 
     /// Only the given ids may appear in the answer.
@@ -78,7 +93,12 @@ impl IdFilter {
     /// Does the filter let `id` through?
     #[inline]
     pub fn accepts(&self, id: u32) -> bool {
-        self.ids.binary_search(&id).is_ok() == self.allow
+        let listed = if self.bits.is_empty() {
+            self.ids.binary_search(&id).is_ok()
+        } else {
+            self.bits.get(id as usize / 64).is_some_and(|w| w >> (id % 64) & 1 == 1)
+        };
+        listed == self.allow
     }
 }
 
@@ -400,6 +420,48 @@ mod tests {
         assert!(IdFilter::allow(Vec::new()).ids().is_empty());
         assert!(!IdFilter::allow(Vec::new()).accepts(0), "empty allowlist matches nothing");
         assert!(IdFilter::deny(Vec::new()).accepts(0), "empty denylist matches everything");
+    }
+
+    #[test]
+    fn the_bitset_is_kept_for_dense_lists_only() {
+        let dense = |ids: Vec<u32>| !IdFilter::deny(ids).bits.is_empty();
+        assert!(!dense(Vec::new()), "an empty list has nothing to index");
+        assert!(dense(vec![0]) && dense(vec![63]), "one id in the first word");
+        assert!(!dense(vec![64]), "one id, two words");
+        assert!(dense(vec![64, 65]));
+        assert!(!dense(vec![u32::MAX - 1]) && !dense(vec![0, 1, 2, u32::MAX - 1]));
+        assert!(dense((0..10_000).step_by(3).collect()), "a third of a range");
+        assert!(!dense((0..10_000).step_by(65).collect()), "one id in 65");
+        assert_eq!(IdFilter::allow(vec![127, 3]).bits, vec![1 << 3, 1 << 63]);
+    }
+
+    proptest::proptest! {
+        /// Whichever form a list gets, `accepts` is membership in the
+        /// sorted list — probed at every listed id, its neighbours, the
+        /// 64-id word boundaries around it, and both ends of the id space.
+        #[test]
+        fn accepts_is_list_membership_in_either_form(
+            mut ids in proptest::collection::vec(0u32..700, 0..=40),
+            far in proptest::collection::vec(proptest::any::<u32>(), 0..=2),
+            sparse in proptest::any::<bool>(),
+            allow in proptest::any::<bool>(),
+        ) {
+            if sparse {
+                ids.extend(far);
+                ids.push(u32::MAX - 1);
+            }
+            let f = if allow { IdFilter::allow(ids.clone()) } else { IdFilter::deny(ids.clone()) };
+            proptest::prop_assert!(f.bits.is_empty() || !sparse, "u32::MAX - 1 rules the bitset out");
+            let mut probes = vec![0, 1, 63, 64, 65, u32::MAX - 2, u32::MAX - 1, u32::MAX];
+            for &id in &ids {
+                let word = id / 64 * 64;
+                probes.extend([id.wrapping_sub(1), id, id.wrapping_add(1)]);
+                probes.extend([word.wrapping_sub(1), word, word.saturating_add(63), word.saturating_add(64)]);
+            }
+            for id in probes {
+                proptest::prop_assert_eq!(f.accepts(id), ids.contains(&id) == allow, "id {}", id);
+            }
+        }
     }
 
     #[test]

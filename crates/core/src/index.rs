@@ -268,7 +268,8 @@ impl LccsLsh {
     /// bound of candidate `t − D` (whose code row has arrived) to decide
     /// whether its f32 row is worth requesting too, and *verifies*
     /// candidate `t − 2D`, whose rows have arrived. The first two stages
-    /// only issue prefetches; every decision is taken by the third, in
+    /// only issue prefetches (none for a candidate the filter rejects,
+    /// whose rows nobody will read); every decision is taken by the third, in
     /// candidate order and against the k-th distance of that moment, so
     /// hits and counters are those of the plain sequential loop.
     ///
@@ -292,12 +293,16 @@ impl LccsLsh {
         let mut stats = SearchStats::default();
         let mut heap: std::collections::BinaryHeap<Neighbor> =
             std::collections::BinaryHeap::with_capacity(k + 1);
+        let filtered_out = |id: u32| req.filter.as_ref().is_some_and(|f| !f.accepts(id));
         let stage = |t: usize, lag: usize| Some(cands.get(t.checked_sub(lag)?)?.id);
+        // A candidate the filter rejects needs none of its rows: the two
+        // prefetch stages pass it over.
+        let wanted = |t: usize, lag: usize| stage(t, lag).filter(|&id| !filtered_out(id));
         for t in 0..cands.len() + 2 * D {
-            if let (Some(p), Some(id)) = (&pruner, stage(t, 0)) {
+            if let (Some(p), Some(id)) = (&pruner, wanted(t, 0)) {
                 p.prefetch_code_row(id as usize);
             }
-            if let Some(id) = stage(t, D) {
+            if let Some(id) = wanted(t, D) {
                 // Prunable now stays prunable (the k-th only shrinks), so
                 // the f32 row of such a candidate is never read.
                 let prunable = heap.len() == k
@@ -310,10 +315,8 @@ impl LccsLsh {
             }
             let Some(id) = stage(t, 2 * D) else { continue };
             stats.candidates_scanned += 1;
-            if let Some(f) = &req.filter {
-                if !f.accepts(id) {
-                    continue;
-                }
+            if filtered_out(id) {
+                continue;
             }
             // SQ8 skip bound (after the filter, before the full-width
             // distance): sound, so hits and the other counters are

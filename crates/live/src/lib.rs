@@ -38,8 +38,10 @@
 //! (see `docs/durability.md`).
 //!
 //! Queries fan out across the memtable and every segment through
-//! [`ann::executor`], merge the per-unit top-k by `(distance, id)` and
-//! filter rows that are no longer live. With an exact segment scheme
+//! [`ann::executor`] and merge the per-unit top-k by `(distance, id)`.
+//! Rows that are no longer live never reach a unit's top-k: the buffers
+//! check a liveness flag per row, and a sealed segment's index is handed
+//! its dead slots as a deny mask. With an exact segment scheme
 //! (`linear`) the answer is byte-identical to an exact oracle over the
 //! current live rows — the property the crate's proptests pin; with an
 //! approximate scheme it is recall-equivalent to a from-scratch build of
@@ -49,9 +51,9 @@
 //! the id every query reports for it, across seals and compactions,
 //! until the row is deleted. Internally a per-index id → (segment, slot)
 //! map tracks where the one live copy of each id currently lives; stale
-//! copies left behind in sealed segments by DELETE are filtered at query
-//! time and physically dropped at the next compaction touching their
-//! segment.
+//! copies left behind in sealed segments by DELETE are listed per segment,
+//! masked at query time and physically dropped at the next compaction
+//! touching their segment.
 //!
 //! Concurrency: [`LiveIndex`] itself is single-writer (`&mut self`
 //! mutation, `&self` query) — the serving layer wraps live catalog
@@ -142,22 +144,34 @@ enum Loc {
 }
 
 /// One sealed, immutable segment: its vectors, the external id of every
-/// slot, and the spec-built index answering over it.
+/// slot, the spec-built index answering over it — and the one thing
+/// about it that does change, the list of slots that have died since.
 struct Segment {
     seg_id: u32,
     data: Arc<Dataset>,
     /// `ids[slot]` is the external id of the row at `slot`.
     ids: Vec<u32>,
-    /// Rows whose external id no longer maps here (DELETE tombstones and
-    /// copies superseded by re-insert). Queries over-fetch by this count
-    /// so filtering stale hits cannot starve the merged top-k.
-    dead: usize,
+    /// Slots whose external id no longer maps here (DELETE tombstones and
+    /// copies superseded by re-insert), ascending. The index was built
+    /// over these rows and keeps proposing them as candidates; a read
+    /// hands it this list as a deny mask, so a dead candidate costs one
+    /// membership test inside the candidate loop instead of a distance
+    /// and a heap slot (see `LiveIndex::scan_segment_request`). Kept as
+    /// a list, not a count, so no read has to derive it from the id map.
+    dead: Vec<u32>,
     index: Box<dyn AnnIndex>,
 }
 
 impl Segment {
     fn live_rows(&self) -> usize {
-        self.ids.len() - self.dead
+        self.ids.len() - self.dead.len()
+    }
+
+    /// Records that the row at `slot` stopped being the live copy of its
+    /// id. The id map hands a slot out once, so it is never present yet.
+    fn bury(&mut self, slot: u32) {
+        let at = self.dead.binary_search(&slot).expect_err("a slot dies once");
+        self.dead.insert(at, slot);
     }
 }
 
@@ -296,7 +310,7 @@ fn build_segment_parts(
     let data = Arc::new(Dataset::from_flat("live-seg", dim, flat));
     let index = registry::build_index(spec, &BuildCtx { data: &data, metric })
         .map_err(|e| MutateError::Build(e.to_string()))?;
-    Ok(Segment { seg_id, data, ids, dead: 0, index })
+    Ok(Segment { seg_id, data, ids, dead: Vec::new(), index })
 }
 
 /// The serializable state of a [`LiveIndex`]: everything needed to
@@ -796,13 +810,12 @@ impl LiveIndex {
                     f.live[slot as usize] = false;
                     f.dead += 1;
                 }
-                Loc::Seg { seg, .. } => {
-                    let s = self
-                        .segments
+                Loc::Seg { seg, slot } => {
+                    self.segments
                         .iter_mut()
                         .find(|s| s.seg_id == seg)
-                        .expect("id map points at a present segment");
-                    s.dead += 1;
+                        .expect("id map points at a present segment")
+                        .bury(slot);
                 }
             }
         }
@@ -1037,7 +1050,8 @@ impl LiveIndex {
                     if self.id_map.get(&id) == Some(&here) {
                         self.id_map.insert(id, Loc::Seg { seg: f.seg_id, slot: built_slot });
                     } else {
-                        seg.dead += 1;
+                        // Slots are visited in ascending order.
+                        seg.dead.push(built_slot);
                     }
                     built_slot += 1;
                 }
@@ -1056,7 +1070,7 @@ impl LiveIndex {
                         if in_inputs {
                             self.id_map.insert(id, Loc::Seg { seg: m.seg_id, slot: slot as u32 });
                         } else {
-                            seg.dead += 1;
+                            seg.dead.push(slot as u32);
                         }
                     }
                     self.remove_segment(m.drop_b);
@@ -1210,22 +1224,36 @@ impl LiveIndex {
         (out, stats)
     }
 
-    /// Queries one segment under a request, applying the external-id
-    /// filter **before** the tombstone over-fetch so filters and deletes
-    /// compose:
+    /// Queries one segment under a request. Two things can hide a row of
+    /// a sealed segment from an answer — the request's id filter and a
+    /// tombstone — and both reach the spec-built index as one slot-space
+    /// [`IdFilter`], which the LCCS schemes test inside their candidate
+    /// loop (the default [`AnnIndex::search_with`] over-fetches by the
+    /// list's length and filters after):
     ///
-    /// * The filter is projected into segment-slot space through the id
-    ///   map — only the *live* copy of an id can match, so an allowlist
-    ///   projects to the exact live slots (stale copies and tombstones
-    ///   are excluded up front and no over-fetch is needed at all), and a
-    ///   denylist projects to the live denied slots (stale copies of any
-    ///   id still need the usual `k + dead` over-fetch).
-    /// * The inner spec-built index then honors the slot filter inside
-    ///   its own candidate loop (LCCS schemes) or via bounded post-hoc
-    ///   filtering (default implementation).
+    /// * The request's filter is projected into segment-slot space
+    ///   through the id map. Only the *live* copy of an id can match, so
+    ///   an allowlist projects to the exact live slots — stale copies are
+    ///   excluded up front, nothing else needs hiding, and the request
+    ///   goes through with its own `k` and `budget` — and a denylist
+    ///   projects to the live denied slots.
+    /// * In every other case the segment's dead slots join the denylist
+    ///   and the budget grows by their number. The index built over those
+    ///   rows still proposes them, so the candidate list has to be as
+    ///   long as if they were wanted: for an LCCS segment its length is
+    ///   `max(λ, 1) + k − 1`, and `λ = max(budget, 1) + dead` with
+    ///   `k = req.k` gives the same sum as asking for `k + dead`
+    ///   neighbours at the request's budget and dropping the stale ones
+    ///   afterwards. Same list, same order, and the `k` nearest live
+    ///   candidates of that list either way — so the hits are equal bit
+    ///   for bit, while a dead candidate costs a membership test instead
+    ///   of a distance, the heap stays `k` wide and the SQ8 skip bound
+    ///   has a k-th distance to prune against from the k-th live
+    ///   candidate on. (`want` below keeps the sum exact when `k + dead`
+    ///   exceeds the segment.)
     ///
-    /// Hits come back as slot ids; they are mapped to external ids with
-    /// stale copies dropped, exactly as before the request redesign.
+    /// Hits come back as slot ids, every one of them live, and are mapped
+    /// to external ids.
     fn scan_segment_request(
         &self,
         seg: &Segment,
@@ -1233,42 +1261,41 @@ impl LiveIndex {
         req: &SearchRequest,
         scratch: &mut Scratch,
     ) -> (Vec<Neighbor>, SearchStats) {
-        let slot_filter = match &req.filter {
-            None => None,
-            Some(f) => {
-                let slots: Vec<u32> = f
-                    .ids()
-                    .iter()
-                    .filter_map(|ext| match self.id_map.get(ext) {
-                        Some(&Loc::Seg { seg: sid, slot }) if sid == seg.seg_id => Some(slot),
-                        _ => None,
-                    })
-                    .collect();
-                if f.is_allow() {
-                    if slots.is_empty() {
-                        // No allowed id lives in this segment: skip it.
-                        return (Vec::new(), SearchStats::default());
-                    }
-                    Some(IdFilter::allow(slots))
-                } else if slots.is_empty() {
-                    None
-                } else {
-                    Some(IdFilter::deny(slots))
+        let live_slots_of = |f: &IdFilter| -> Vec<u32> {
+            f.ids()
+                .iter()
+                .filter_map(|ext| match self.id_map.get(ext) {
+                    Some(&Loc::Seg { seg: sid, slot }) if sid == seg.seg_id => Some(slot),
+                    _ => None,
+                })
+                .collect()
+        };
+        let n = seg.data.len();
+        let k = req.k.min(n);
+        let (budget, filter) = match &req.filter {
+            Some(f) if f.is_allow() => {
+                let slots = live_slots_of(f);
+                if slots.is_empty() {
+                    // No allowed id lives in this segment: skip it.
+                    return (Vec::new(), SearchStats::default());
                 }
+                (req.budget, Some(IdFilter::allow(slots)))
+            }
+            deny => {
+                let mut hidden = seg.dead.clone();
+                if let Some(f) = deny {
+                    hidden.extend(live_slots_of(f));
+                }
+                let want = (req.k + seg.dead.len()).min(n);
+                let filter = (!hidden.is_empty()).then(|| IdFilter::deny(hidden));
+                (req.budget.max(1) + (want - k), filter)
             }
         };
-        // An allowlist pins the exact live slots, so stale hits are
-        // impossible and the tombstone over-fetch would only waste work.
-        let over = match &slot_filter {
-            Some(f) if f.is_allow() => 0,
-            _ => seg.dead,
-        };
-        let want = (req.k + over).min(seg.data.len());
         let inner = SearchRequest {
-            k: want,
-            budget: req.budget,
+            k,
+            budget,
             probes: req.probes,
-            filter: slot_filter,
+            filter,
             max_dist: req.max_dist,
             fields: ResponseFields::default(),
             // Planning resolves to concrete knobs before the index is
@@ -1280,13 +1307,36 @@ impl LiveIndex {
         let hits = resp
             .hits
             .into_iter()
-            .filter_map(|n| {
+            .map(|n| {
                 let id = seg.ids[n.id as usize];
-                let here = Loc::Seg { seg: seg.seg_id, slot: n.id };
-                (self.id_map.get(&id) == Some(&here)).then_some(Neighbor { id, dist: n.dist })
+                debug_assert_eq!(
+                    self.id_map.get(&id),
+                    Some(&Loc::Seg { seg: seg.seg_id, slot: n.id }),
+                    "the mask hides every stale slot"
+                );
+                Neighbor { id, dist: n.dist }
             })
             .collect();
         (hits, resp.stats)
+    }
+
+    /// The dead slots of `seg` as the id map implies them — what
+    /// `Segment::dead` is maintained to equal.
+    fn dead_slots_by_scan(&self, seg: &Segment) -> Vec<u32> {
+        (0..seg.ids.len() as u32)
+            .filter(|&slot| {
+                self.id_map.get(&seg.ids[slot as usize]) != Some(&Loc::Seg { seg: seg.seg_id, slot })
+            })
+            .collect()
+    }
+
+    /// Rows of sealed segments that are no longer live (tombstoned, or
+    /// superseded by a re-insert) and still sit in their segment's index
+    /// until a compaction rewrites it. A read of a segment walks
+    /// `budget + dead` candidates, so this is the number that says when a
+    /// FLUSH or a rebuild is due.
+    pub fn dead_rows(&self) -> usize {
+        self.segments.iter().map(|s| s.dead.len()).sum()
     }
 
     /// Extracts the serializable state (see [`LiveState`]). Rows are
@@ -1299,23 +1349,16 @@ impl LiveIndex {
     /// crossing). FLUSH drains pending work first, so daemon snapshots
     /// never hit this fold.
     pub fn state(&self) -> LiveState {
-        let unit = |rows: Vec<f32>, ids: &[u32], is_live: &dyn Fn(usize, u32) -> bool| UnitState {
-            rows,
-            ids: ids.to_vec(),
-            dead: ids
-                .iter()
-                .enumerate()
-                .filter(|&(slot, &id)| !is_live(slot, id))
-                .map(|(slot, _)| slot as u32)
-                .collect(),
-        };
         let segments = self
             .segments
             .iter()
             .map(|s| {
-                unit(s.data.as_flat().to_vec(), &s.ids, &|slot, id| {
-                    self.id_map.get(&id) == Some(&Loc::Seg { seg: s.seg_id, slot: slot as u32 })
-                })
+                debug_assert_eq!(s.dead, self.dead_slots_by_scan(s), "segment {}", s.seg_id);
+                UnitState {
+                    rows: s.data.as_flat().to_vec(),
+                    ids: s.ids.clone(),
+                    dead: s.dead.clone(),
+                }
             })
             .collect();
         let mut mem = UnitState::default();
@@ -1384,7 +1427,9 @@ impl LiveIndex {
                         return Err(MutateError::State(format!("id {id} is live twice")));
                     }
                 }
-                Ok(dead.iter().filter(|&&d| d).count())
+                // Ascending and duplicate-free whatever order the state
+                // listed them in.
+                Ok((0..dead.len() as u32).filter(|&slot| dead[slot as usize]).collect::<Vec<u32>>())
             };
         for (pos, unit) in state.segments.iter().enumerate() {
             if unit.ids.is_empty() {
@@ -1397,7 +1442,7 @@ impl LiveIndex {
             seg.dead = dead;
             live.segments.push(seg);
         }
-        let mem_dead = install(&mut live.id_map, &state.memtable, &Loc::Mem)?;
+        let mem_dead = install(&mut live.id_map, &state.memtable, &Loc::Mem)?.len();
         live.mem_rows = state.memtable.rows;
         live.mem_ids = state.memtable.ids;
         live.mem_live = live
@@ -1512,19 +1557,20 @@ impl AnnIndex for LiveIndex {
     /// through [`ann::executor`], then merges the per-unit top-k by
     /// `(distance, id)` — deterministic regardless of how the executor
     /// schedules the units (scratch never influences results; it is an
-    /// allocation cache only). The request's id filter is applied before
-    /// each segment's tombstone over-fetch (see
-    /// `LiveIndex::scan_segment_request`) and its threshold inside
-    /// every scan loop, so with exact segments (`linear`) the answer is
-    /// byte-identical to a filtered brute-force oracle over the live
-    /// rows — the property the crate's proptests pin.
+    /// allocation cache only). The request's id filter and each segment's
+    /// tombstones reach the segment index as one slot mask (see
+    /// `LiveIndex::scan_segment_request`) and the threshold is applied
+    /// inside every scan loop, so with exact segments (`linear`) the
+    /// answer is byte-identical to a filtered brute-force oracle over the
+    /// live rows — the property the crate's proptests pin.
     ///
-    /// On a single executor worker the fan-out degenerates to a
-    /// sequential loop that reuses per-segment scratches cached in the
-    /// caller's `scratch` — the hot serving path keeps the
-    /// allocation-amortization the scratch system exists for. With
-    /// multiple workers each unit task builds throwaway scratch (a
-    /// shared cache cannot be handed to concurrent tasks).
+    /// A fan-out the executor runs inline ([`executor::runs_inline`]: up
+    /// to 16 units, i.e. every layout the seal/compaction policy settles
+    /// into) is a plain loop that reuses per-segment scratches cached in
+    /// the caller's `scratch` — the hot serving path keeps the
+    /// allocation-amortization the scratch system exists for. Beyond
+    /// that each unit task builds throwaway scratch (a shared cache
+    /// cannot be handed to concurrent tasks).
     fn search_with(&self, q: &[f32], req: &SearchRequest, scratch: &mut Scratch) -> SearchResponse {
         assert!(req.k > 0, "k must be positive");
         assert_eq!(q.len(), self.dim, "query dimension mismatch");
@@ -1541,7 +1587,7 @@ impl AnnIndex for LiveIndex {
             .collect();
         let units = 1 + frozen.len() + self.segments.len();
         let mut stats = SearchStats::default();
-        let mut merged: Vec<Neighbor> = if executor::worker_threads(units) <= 1 {
+        let mut merged: Vec<Neighbor> = if executor::runs_inline(units) {
             let cache: &mut Vec<(u32, Scratch)> = scratch.get_or_insert_with(Vec::new);
             // Drop cache entries for compacted-away segments.
             cache.retain(|(sid, _)| self.segments.iter().any(|s| s.seg_id == *sid));
@@ -2097,6 +2143,61 @@ mod tests {
             let q = data.get(qi);
             assert_eq!(live.search(q, &req).hits, back.search(q, &req).hits, "query {qi}");
         }
+    }
+
+    #[test]
+    fn dead_lists_track_the_id_map_through_every_op() {
+        fn check(live: &LiveIndex, after: &str) {
+            for seg in &live.segments {
+                assert_eq!(seg.dead, live.dead_slots_by_scan(seg), "segment {} after {after}", seg.seg_id);
+            }
+            let by_layout: usize = live.segment_layout().iter().map(|&(rows, alive)| rows - alive).sum();
+            assert_eq!(live.dead_rows(), by_layout, "after {after}");
+        }
+        let dim = 4;
+        let data = rows(80, dim, 70);
+        let chunk = |from: usize, to: usize| {
+            Dataset::from_flat("c", dim, data.as_flat()[from * dim..to * dim].to_vec())
+        };
+        let mut live =
+            LiveIndex::build_from(exact_spec(), Metric::Euclidean, &chunk(0, 20), cfg(8, 3)).unwrap();
+        check(&live, "bulk load");
+        // Out of order, so the sorted insert is exercised; 99 is absent.
+        assert_eq!(live.delete(&[17, 3, 99, 11]), 3);
+        check(&live, "deleting sealed rows");
+        assert_eq!(live.segments[0].dead, vec![3, 11, 17]);
+        // Re-insert a deleted id: the stale copy stays dead where it was.
+        live.insert(&chunk(20, 21), Some(&[3])).unwrap();
+        check(&live, "re-inserting a deleted id");
+        live.delete(&[3]);
+        check(&live, "deleting the memtable copy");
+        assert_eq!(live.dead_rows(), 3, "memtable tombstones are not segment rows");
+        // Threshold seals and the compactions they cascade into.
+        for step in 0..5 {
+            live.insert(&chunk(21 + step * 8, 29 + step * 8), None).unwrap();
+            check(&live, "a threshold crossing");
+            live.delete(&[20 + step as u32 * 8, 5 + step as u32]);
+            check(&live, "deletes between crossings");
+        }
+        assert!(live.segment_count() <= 3);
+        // Deletes that land while builds are pending become dead slots at
+        // install — the seal arm and the merge arm.
+        let (ids, pending) = live.insert_deferred(&chunk(61, 77), None).unwrap();
+        assert!(pending);
+        live.delete(&[ids[1], ids[9], 40]);
+        while let Some(pb) = live.pending_build() {
+            assert!(live.install_built(pb.build().unwrap()));
+            check(&live, "installing a deferred build");
+        }
+        assert!(live.dead_rows() > 0);
+        // A restart restores the lists, whatever order the state lists
+        // the dead slots in.
+        let mut state = live.state();
+        state.segments[0].dead.reverse();
+        let back = LiveIndex::from_state(state).unwrap();
+        check(&back, "from_state");
+        assert_eq!(back.dead_rows(), live.dead_rows());
+        assert_eq!(back.state().segments, live.state().segments);
     }
 
     #[test]

@@ -9,6 +9,10 @@
 //! of the oracle equivalence, every case checks id stability: whatever
 //! external id a row got at insert still retrieves exactly that row after
 //! any number of seals and compactions.
+//!
+//! One property covers approximate segments too: with tombstones in a
+//! sealed LCCS, MP-LCCS or exact segment, the masked read equals the
+//! `k + dead` over-fetch it replaced (`overfetch_reference`), bit for bit.
 
 use ann::{AnnIndex, IdFilter, IndexSpec, MutableAnn, SearchParams, SearchRequest};
 use ann_live::{LiveConfig, LiveIndex};
@@ -400,6 +404,170 @@ proptest! {
         prop_assert_eq!(live.segment_layout(), recovered.segment_layout());
         prop_assert_eq!(live.memtable_rows(), recovered.memtable_rows());
         std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// The tombstone over-fetch the live read path used before tombstones
+/// became a mask, rebuilt from the public state alone: every sealed
+/// segment's index is rebuilt from `(spec, rows)` (builds are seeded), a
+/// segment with `dead` stale rows is asked for `k + dead` neighbours at
+/// the request's own budget — its id filter projected onto the live
+/// slots, an allowlist needing no over-fetch — and stale hits are
+/// dropped afterwards; the memtable is scanned exactly. The masked read
+/// must return these hits bit for bit.
+fn overfetch_reference(live: &LiveIndex, q: &[f32], req: &SearchRequest) -> Vec<(u32, u64)> {
+    let state = live.state();
+    let metric = state.metric;
+    let mut all: Vec<Neighbor> = Vec::new();
+    for unit in &state.segments {
+        let n = unit.ids.len();
+        let is_dead = |slot: u32| unit.dead.contains(&slot);
+        let data = std::sync::Arc::new(Dataset::from_flat("ref", state.dim, unit.rows.clone()));
+        let index = eval::registry::build_index(
+            &state.spec,
+            &eval::registry::BuildCtx { data: &data, metric },
+        )
+        .expect("segment rebuild");
+        let mut inner = req.clone();
+        inner.k = (req.k + unit.dead.len()).min(n);
+        if let Some(f) = &req.filter {
+            let slots: Vec<u32> =
+                (0..n as u32).filter(|&s| !is_dead(s) && f.ids().contains(&unit.ids[s as usize])).collect();
+            if f.is_allow() {
+                if slots.is_empty() {
+                    continue;
+                }
+                inner.k = req.k.min(n);
+                inner.filter = Some(IdFilter::allow(slots));
+            } else {
+                inner.filter = (!slots.is_empty()).then(|| IdFilter::deny(slots));
+            }
+        }
+        let hits = index.search(q, &inner).hits;
+        all.extend(
+            hits.iter()
+                .filter(|h| !is_dead(h.id))
+                .map(|h| Neighbor { id: unit.ids[h.id as usize], dist: h.dist }),
+        );
+    }
+    let mem = &state.memtable;
+    for (slot, &id) in mem.ids.iter().enumerate() {
+        if mem.dead.contains(&(slot as u32)) || req.filter.as_ref().is_some_and(|f| !f.accepts(id)) {
+            continue;
+        }
+        let row = &mem.rows[slot * state.dim..(slot + 1) * state.dim];
+        let dist = metric.from_surrogate(metric.surrogate_unchecked(row, q));
+        if req.max_dist.is_none_or(|d| dist <= d) {
+            all.push(Neighbor { id, dist });
+        }
+    }
+    all.sort_unstable();
+    all.truncate(req.k);
+    bits(&all)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Tombstones as an in-loop mask answer exactly like the `k + dead`
+    /// over-fetch they replaced — ids and distance bits — for LCCS,
+    /// MP-LCCS and exact segments, under random inserts, deletes of old
+    /// and new rows, delete-then-reinsert, seals, threshold crossings
+    /// with their compactions and a restart from state; for plain,
+    /// deny-filtered, allow-filtered, range, `budget = 0` and multi-probe
+    /// requests, and for `k` beyond what a segment has left alive.
+    #[test]
+    fn masked_tombstones_match_the_overfetch_reference(
+        ops in vec((0u32..=5, any::<u32>()), 4..=28),
+        scheme in 0usize..3,
+        seal_threshold in 6usize..=24,
+        max_segments in 1usize..=3,
+        probe in any::<u32>(),
+    ) {
+        let pool = pool();
+        let spec = [
+            IndexSpec::lccs(8).with_w(6.0).with_seed(5),
+            IndexSpec::mp_lccs(8).with_w(6.0).with_seed(5),
+            IndexSpec::linear(),
+        ][scheme];
+        let cfg = LiveConfig { seal_threshold, max_segments };
+        // Start from a sealed segment so tombstones have somewhere to go.
+        let bulk = pool.truncated(40);
+        let mut live = LiveIndex::build_from(spec, Metric::Euclidean, &bulk, cfg).unwrap();
+        let mut alive: Vec<u32> = (0..40).collect();
+        let mut gone: Vec<u32> = Vec::new();
+        let mut next_pool = 40usize;
+        let row_of = |p: usize| Dataset::from_flat("row", pool.dim(), pool.get(p).to_vec());
+
+        for (step, (op, arg)) in ops.into_iter().enumerate() {
+            match op {
+                // Insert 1–6 fresh rows (may cross the seal threshold and
+                // cascade into compactions).
+                0 | 1 => {
+                    let n = 1 + (arg as usize) % 6;
+                    let flat = pool.as_flat()[next_pool * pool.dim()..(next_pool + n) * pool.dim()].to_vec();
+                    let ids = live.insert(&Dataset::from_flat("batch", pool.dim(), flat), None).expect("insert");
+                    alive.extend(ids);
+                    next_pool += n;
+                }
+                // Delete a burst of the oldest ids (the benchmark's
+                // pattern: they sit in the oldest, largest segment) or
+                // one id anywhere.
+                2 | 3 => {
+                    let victims: Vec<u32> = if op == 2 {
+                        alive.drain(..(1 + arg as usize % 5).min(alive.len())).collect()
+                    } else if alive.is_empty() {
+                        Vec::new()
+                    } else {
+                        vec![alive.swap_remove(arg as usize % alive.len())]
+                    };
+                    prop_assert_eq!(live.delete(&victims), victims.len());
+                    gone.extend(victims);
+                }
+                // Re-insert a deleted id with a new row: its stale copy
+                // stays behind in whatever segment held it.
+                4 => {
+                    if let Some(id) = gone.pop() {
+                        live.insert(&row_of(next_pool), Some(&[id])).expect("re-insert");
+                        alive.push(id);
+                        next_pool += 1;
+                    }
+                }
+                _ => {
+                    if arg % 2 == 0 {
+                        live.seal().expect("seal");
+                    } else {
+                        live = LiveIndex::from_state(live.state()).expect("restart");
+                    }
+                }
+            }
+            if alive.is_empty() {
+                continue;
+            }
+            let q = pool.get((probe as usize + step * 37) % pool.len());
+            let universe: Vec<u32> = (0..next_pool as u32).collect();
+            let third = |r: u32| universe.iter().copied().filter(|i| i % 3 == r).collect::<Vec<u32>>();
+            let base = SearchRequest::top_k(1 + (probe as usize + step) % 9);
+            let mid = {
+                let exact = live.search(q, &SearchRequest::top_k(alive.len()).budget(1 << 16)).hits;
+                exact[exact.len() / 2].dist
+            };
+            for req in [
+                base.clone().budget(6),
+                base.clone().budget(0),
+                base.clone().budget(6).probes(5),
+                base.clone().budget(6).filter(IdFilter::deny(third(1))),
+                base.clone().budget(6).filter(IdFilter::allow(third(0))),
+                base.clone().budget(6).max_dist(mid),
+                base.clone().budget(4).probes(3).filter(IdFilter::deny(third(2))).max_dist(mid),
+                // More neighbours than any one segment has left alive.
+                SearchRequest::top_k(alive.len()).budget(2),
+            ] {
+                let got = bits(&live.search(q, &req).hits);
+                let want = overfetch_reference(&live, q, &req);
+                prop_assert_eq!(got, want, "step {} {:?} req={:?}", step, spec, &req);
+            }
+        }
     }
 }
 

@@ -253,9 +253,10 @@ fn dispatch(
             let entries: Vec<_> = catalog.iter().map(stats_entry).collect();
             // Live-index internals are sampled at scrape time (they are
             // sizes, not event counters): memtable rows, sealed
-            // segments, and queued background ops per live entry.
-            // (name, memtable rows, sealed segments, pending ops)
-            type LiveRow = (String, u64, u64, u64);
+            // segments, queued background ops, and dead rows still in
+            // sealed segments per live entry.
+            // (name, memtable rows, sealed segments, pending ops, dead rows)
+            type LiveRow = (String, u64, u64, u64, u64);
             type GaugeCol = fn(&LiveRow) -> u64;
             let mut live_sizes: Vec<LiveRow> = Vec::new();
             for served in catalog.iter() {
@@ -266,6 +267,7 @@ fn dispatch(
                             live.memtable_rows() as u64,
                             live.segment_count() as u64,
                             live.pending_ops() as u64,
+                            live.dead_rows() as u64,
                         ));
                     }
                 }
@@ -277,7 +279,7 @@ fn dispatch(
             // serving counters, then the sampled live-index gauges.
             obs::global().render_into(&mut out);
             crate::stats::render_prom(&entries, &mut out);
-            let gauges: [(&str, &str, GaugeCol); 3] = [
+            let gauges: [(&str, &str, GaugeCol); 4] = [
                 ("ann_live_memtable_rows", "Rows currently buffered in the live memtable", |r| {
                     r.1
                 }),
@@ -285,6 +287,11 @@ fn dispatch(
                 ("ann_live_pending_ops", "Seal/compaction builds queued for the sealer", |r| {
                     r.3
                 }),
+                (
+                    "ann_live_dead_rows",
+                    "Deleted or superseded rows still in sealed segments (each read walks them)",
+                    |r| r.4,
+                ),
             ];
             for (name, help, get) in gauges {
                 out.header(name, "gauge", help);

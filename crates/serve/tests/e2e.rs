@@ -874,7 +874,12 @@ fn traced_frames_interop_and_metrics_scrape() {
     use serve::protocol::{read_frame, write_frame, Request, Response, TRACE_SECTION_LEN};
 
     let fx = fixture("traced");
-    let (addr, handle) = start_server(&fx, 1);
+    // A snapshot dir, so the live BUILD at the end has somewhere to log.
+    let server = Server::bind(Catalog::load_dir(&fx.dir).unwrap(), "127.0.0.1:0", 1)
+        .unwrap()
+        .with_snapshot_dir(&fx.dir);
+    let addr = server.local_addr().unwrap();
+    let handle = std::thread::spawn(move || server.run().expect("serving loop"));
 
     let q = fx.data.sample_queries(1, 33);
     let req = Request::Query {
@@ -934,6 +939,22 @@ fn traced_frames_interop_and_metrics_scrape() {
         .expect("per-index query counter");
     let count: f64 = q_line.rsplit(' ').next().unwrap().parse().unwrap();
     assert!(count >= 3.0, "three QUERYs ran, metrics say {count}");
+
+    // Live-index shape is sampled at scrape: rows a DELETE tombstones in
+    // a sealed segment show up as dead rows until a compaction drops them.
+    let fvecs = fx.dir.join("rows.fvecs");
+    dataset::io::write_fvecs(&fvecs, &fx.data.truncated(100)).unwrap();
+    client.build_live("lv", "lccs:m=8,w=8,seed=3", "euclidean", fvecs.to_str().unwrap(), 0, 64, 3).unwrap();
+    let gauge = |text: &str, name: &str| -> f64 {
+        let line = text.lines().find(|l| l.starts_with(&format!("{name}{{index=\"lv\"}}")));
+        line.unwrap_or_else(|| panic!("no {name} sample:\n{text}")).rsplit(' ').next().unwrap().parse().unwrap()
+    };
+    let before = client.metrics().unwrap();
+    assert_eq!((gauge(&before, "ann_live_segments"), gauge(&before, "ann_live_dead_rows")), (1.0, 0.0));
+    assert_eq!(client.delete("lv", &[2, 40, 41, 5_000]).unwrap(), 3);
+    let after = client.metrics().unwrap();
+    assert!(after.contains("# TYPE ann_live_dead_rows gauge"));
+    assert_eq!(gauge(&after, "ann_live_dead_rows"), 3.0, "three sealed rows are tombstoned");
 
     client.shutdown().unwrap();
     handle.join().expect("server thread");

@@ -33,6 +33,13 @@ bench-contract:
 perf-pair workload runs="10" seed_base="1000":
     bash benchmark/aa.sh {{runs}} 1 {{seed_base}} {{workload}}
 
+# Recall, an answer hash and us/search of a live index at fixed write
+# counts (0, n/2, n, 2n inserts of the live_mixed_32k write pattern). On
+# two commits that answer identically the recall and hash columns match
+# line for line; the recall column is the recall-under-churn curve.
+live-churn rows="32768" seed="1":
+    cargo run --release -p bench --bin live_churn -- --rows {{rows}} --seed {{seed}}
+
 # The paper's figure/table experiments at a reduced scale.
 figures out="results":
     cargo run -p bench --release --bin table2 -- --out {{out}}
