@@ -20,7 +20,9 @@ fn random_strings(n: usize, m: usize, alphabet: u64, seed: u64) -> StringSet {
 /// probability `keep_pct` %, replacing it by a fresh one otherwise — so two
 /// rows of one cluster agree at a position with probability `keep_pct²`, a
 /// row's LCCS with a same-cluster query is the longest of `m` geometric
-/// runs, and most of a k-LCCS answer sits on two or three lengths.
+/// runs, and most of a k-LCCS answer sits on two or three lengths. Symbols
+/// stay below `0xFFFF`, as hashed bucket ids do, so the set is stored at
+/// the `u16` width the benchmark's workloads run at.
 fn clustered_strings(n: usize, m: usize, centers: usize, keep_pct: u64, seed: u64) -> StringSet {
     let mut s = seed;
     let mut next = move || {
@@ -29,11 +31,11 @@ fn clustered_strings(n: usize, m: usize, centers: usize, keep_pct: u64, seed: u6
     };
     // Seed-independent centers, so a query set drawn with another seed
     // lands in the same clusters.
-    let base = random_strings(centers, m, 1 << 20, 0xce47e5);
+    let base = random_strings(centers, m, 1 << 15, 0xce47e5);
     let mut data = Vec::with_capacity(n * m);
     for i in 0..n {
-        for &sym in base.row(i % centers) {
-            data.push(if next() % 100 < keep_pct { sym } else { (1 << 20) + next() % (1 << 20) });
+        for sym in base.row(i % centers) {
+            data.push(if next() % 100 < keep_pct { sym } else { (1 << 15) + next() % 0x7FFF });
         }
     }
     StringSet::from_flat(n, m, data)
@@ -54,6 +56,10 @@ fn bench_build(c: &mut Criterion) {
             );
         }
     }
+    // The build `lccs_euclid_100k` pays once per index (`csa.build_s`).
+    let (n, m) = (100_000usize, 64usize);
+    let set = clustered_strings(n, m, 16, 70, 5);
+    g.bench_function(format!("n{n}_m{m}"), |b| b.iter(|| Csa::build(black_box(set.clone()))));
     g.finish();
 }
 
@@ -64,7 +70,7 @@ fn bench_search(c: &mut Criterion) {
         for &m in &[64usize, 256] {
             let set = random_strings(n, m, 16, 11);
             let csa = Csa::build(set);
-            let query = random_strings(1, m, 16, 99).row(0).to_vec();
+            let query = random_strings(1, m, 16, 99).row(0);
             let mut scratch = SearchScratch::for_csa(&csa);
             g.bench_with_input(
                 BenchmarkId::new(format!("n{n}_m{m}"), "k100"),
@@ -83,12 +89,13 @@ fn bench_search(c: &mut Criterion) {
     let (n, m, k) = (100_000usize, 64usize, 3_209usize);
     let csa = Csa::build(clustered_strings(n, m, 16, 70, 5));
     let queries = clustered_strings(64, m, 16, 70, 6);
+    let queries: Vec<Vec<u64>> = (0..queries.len()).map(|i| queries.row(i)).collect();
     let mut scratch = SearchScratch::for_csa(&csa);
     let mut turn = 0;
     g.bench_function(format!("n{n}_m{m}/k{k}_clustered"), |b| {
         b.iter(|| {
             turn = (turn + 1) % queries.len();
-            csa.search_with(black_box(queries.row(turn)), k, &mut scratch)
+            csa.search_with(black_box(&queries[turn]), k, &mut scratch)
         });
     });
     g.finish();
@@ -103,7 +110,7 @@ fn bench_anchor_ablation(c: &mut Criterion) {
     let (n, m) = (50_000usize, 128usize);
     let set = random_strings(n, m, 16, 21);
     let csa = Csa::build(set);
-    let query = random_strings(1, m, 16, 77).row(0).to_vec();
+    let query = random_strings(1, m, 16, 77).row(0);
     g.bench_function("narrowed_lemma_3_1", |b| b.iter(|| csa.anchor(black_box(&query))));
     g.bench_function("simple_full_searches", |b| {
         b.iter(|| csa.anchor_simple(black_box(&query)))

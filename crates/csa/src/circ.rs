@@ -4,27 +4,121 @@
 //! strings. Nothing here materializes a rotation: all comparisons walk the
 //! original rows with a starting offset, split into two linear segments to
 //! keep the inner loops free of modulo operations.
+//!
+//! # Symbol width
+//!
+//! Strings come in as `u64` symbols and are **stored** at the narrowest
+//! width that holds them: [`StringSet::from_flat`] keeps `u16` symbols
+//! when every symbol is `< 0xFFFF` (E2LSH bucket ids, cross-polytope
+//! vertex ids, bit samples), and the `u64` buffer otherwise (MinHash's
+//! `u64::MAX` sentinel). A *query* symbol that does not fit the stored
+//! width is clamped to that width's `MAX`: `MAX`
+//! is stored nowhere (`0xFFFF` forces the wide tier) and exceeds every
+//! stored symbol, exactly as the unclamped value did — so every
+//! comparison and LCP against the stored rows is unchanged.
 
 use std::cmp::Ordering;
 
-/// A set of `n` strings of identical length `m` over `u64` symbols, stored
-/// row-major in one flat allocation.
+/// A stored symbol type: `u16` or `u64`. The search and build code is
+/// written once over it.
+pub(crate) trait Symbol: Copy + Ord + Send + Sync + std::fmt::Debug + 'static {
+    /// Brings a `u64` symbol to this width, clamping what does not fit to
+    /// the width's `MAX` (module docs: the clamp rule).
+    fn clamp_from(sym: u64) -> Self;
+
+    /// The buffer of `buf` that holds a query at this width.
+    fn query_buf(buf: &mut QueryBuf) -> &mut Vec<Self>;
+}
+
+impl Symbol for u16 {
+    #[inline]
+    fn clamp_from(sym: u64) -> Self {
+        u16::try_from(sym).unwrap_or(u16::MAX)
+    }
+
+    fn query_buf(buf: &mut QueryBuf) -> &mut Vec<Self> {
+        &mut buf.narrow
+    }
+}
+
+impl Symbol for u64 {
+    #[inline]
+    fn clamp_from(sym: u64) -> Self {
+        sym
+    }
+
+    fn query_buf(buf: &mut QueryBuf) -> &mut Vec<Self> {
+        &mut buf.wide
+    }
+}
+
+/// Reusable storage for a query brought to a stored symbol width; only the
+/// buffer of the width in use ever grows.
+#[derive(Debug, Default)]
+pub(crate) struct QueryBuf {
+    narrow: Vec<u16>,
+    wide: Vec<u64>,
+}
+
+impl QueryBuf {
+    /// `q` at width `S`, symbols that do not fit clamped (module docs).
+    pub(crate) fn narrowed<S: Symbol>(&mut self, q: &[u64]) -> &[S] {
+        let buf = S::query_buf(self);
+        buf.clear();
+        buf.extend(q.iter().map(|&sym| S::clamp_from(sym)));
+        buf
+    }
+}
+
+/// Row-major symbols at their stored width.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum Symbols {
+    /// Every symbol is `< 0xFFFF`.
+    U16(Vec<u16>),
+    /// Anything else.
+    U64(Vec<u64>),
+}
+
+/// A set of `n` strings of identical length `m`, stored row-major in one
+/// flat allocation at the narrowest symbol width that holds them (module
+/// docs).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StringSet {
     n: usize,
     m: usize,
-    data: Vec<u64>,
+    symbols: Symbols,
 }
 
 impl StringSet {
-    /// Wraps a flat row-major buffer of `n` strings of length `m`.
+    /// Wraps a flat row-major buffer of `n` strings of length `m`,
+    /// narrowing it to `u16` symbols when every symbol is `< 0xFFFF`.
     ///
     /// # Panics
     /// Panics if `m == 0` or the buffer length is not `n * m`.
     pub fn from_flat(n: usize, m: usize, data: Vec<u64>) -> Self {
+        let symbols = if data.iter().all(|&sym| sym < u64::from(u16::MAX)) {
+            Symbols::U16(data.iter().map(|&sym| sym as u16).collect())
+        } else {
+            Symbols::U64(data)
+        };
+        Self::from_symbols(n, m, symbols)
+    }
+
+    /// [`StringSet::from_flat`] without the narrowing: the same rows at
+    /// `u64` width, for tests that search one set at both widths.
+    #[cfg(test)]
+    pub(crate) fn from_flat_wide(n: usize, m: usize, data: Vec<u64>) -> Self {
+        Self::from_symbols(n, m, Symbols::U64(data))
+    }
+
+    fn from_symbols(n: usize, m: usize, symbols: Symbols) -> Self {
         assert!(m > 0, "string length m must be positive");
-        assert_eq!(data.len(), n * m, "buffer must hold exactly n*m symbols");
-        Self { n, m, data }
+        let len = match &symbols {
+            Symbols::U16(d) => d.len(),
+            Symbols::U64(d) => d.len(),
+        };
+        assert_eq!(len, n * m, "buffer must hold exactly n*m symbols");
+        Self { n, m, symbols }
     }
 
     /// Builds from explicit rows.
@@ -57,47 +151,50 @@ impl StringSet {
         self.m
     }
 
-    /// Row `i` (unrotated).
-    #[inline]
-    pub fn row(&self, i: usize) -> &[u64] {
-        &self.data[i * self.m..(i + 1) * self.m]
+    /// The symbols at their stored width.
+    pub(crate) fn symbols(&self) -> &Symbols {
+        &self.symbols
+    }
+
+    /// Row `i` (unrotated), widened to `u64` symbols — an owned copy, for
+    /// tests, oracles and tools; the search never widens a row.
+    pub fn row(&self, i: usize) -> Vec<u64> {
+        let span = i * self.m..(i + 1) * self.m;
+        match &self.symbols {
+            Symbols::U16(d) => d[span].iter().map(|&sym| u64::from(sym)).collect(),
+            Symbols::U64(d) => d[span].to_vec(),
+        }
     }
 
     /// Bytes of symbol storage (for index-size accounting).
     pub fn nbytes(&self) -> usize {
-        self.data.len() * std::mem::size_of::<u64>()
+        match &self.symbols {
+            Symbols::U16(d) => std::mem::size_of_val(d.as_slice()),
+            Symbols::U64(d) => std::mem::size_of_val(d.as_slice()),
+        }
     }
 
-    /// The backing flat buffer.
-    pub fn as_flat(&self) -> &[u64] {
-        &self.data
+    /// Every row, widened to `u64` symbols, in one row-major buffer (what
+    /// the `CSA1` payload stores).
+    pub fn to_flat(&self) -> Vec<u64> {
+        match &self.symbols {
+            Symbols::U16(d) => d.iter().map(|&sym| u64::from(sym)).collect(),
+            Symbols::U64(d) => d.clone(),
+        }
     }
 
-    /// Compares rotation `s` of row `ia` with rotation `s` of row `ib`
-    /// lexicographically (the order used to build `I_{s+1}`).
-    #[inline]
-    pub fn cmp_rows(&self, ia: usize, ib: usize, s: usize) -> Ordering {
-        cmp_shifted(self.row(ia), self.row(ib), s)
-    }
-
-    /// Compares rotation `s` of row `i` against rotation `s` of an external
-    /// query string.
-    #[inline]
-    pub fn cmp_row_query(&self, i: usize, q: &[u64], s: usize) -> Ordering {
-        cmp_shifted(self.row(i), q, s)
-    }
-
-    /// `|LCP(shift(row_i, s), shift(q, s))|`, capped at `m`.
-    #[inline]
+    /// `|LCP(shift(row_i, s), shift(q, s))|`, capped at `m`, on a widened
+    /// copy of the row against the unclamped query — the string-comparing
+    /// step of [`crate::naive::k_lccs_heap_reference`].
     pub fn lcp_row_query(&self, i: usize, q: &[u64], s: usize) -> usize {
-        lcp_shifted(self.row(i), q, s)
+        lcp_shifted(&self.row(i), q, s)
     }
 }
 
 /// Lexicographic comparison of `shift(a, s)` vs `shift(b, s)` where both
 /// strings have the same length and `s < len`.
 #[inline]
-pub fn cmp_shifted(a: &[u64], b: &[u64], s: usize) -> Ordering {
+pub fn cmp_shifted<T: Ord>(a: &[T], b: &[T], s: usize) -> Ordering {
     debug_assert_eq!(a.len(), b.len());
     debug_assert!(s < a.len());
     for t in s..a.len() {
@@ -117,7 +214,7 @@ pub fn cmp_shifted(a: &[u64], b: &[u64], s: usize) -> Ordering {
 
 /// `|LCP(shift(a, s), shift(b, s))|`, capped at the string length.
 #[inline]
-pub fn lcp_shifted(a: &[u64], b: &[u64], s: usize) -> usize {
+pub fn lcp_shifted<T: Eq>(a: &[T], b: &[T], s: usize) -> usize {
     debug_assert_eq!(a.len(), b.len());
     debug_assert!(s < a.len());
     let m = a.len();
@@ -194,18 +291,36 @@ mod tests {
         let s = StringSet::from_rows(&[vec![1, 2], vec![3, 4], vec![5, 6]]);
         assert_eq!(s.len(), 3);
         assert_eq!(s.m(), 2);
-        assert_eq!(s.row(1), &[3, 4]);
-        assert_eq!(s.nbytes(), 6 * 8);
-        assert_eq!(s.cmp_rows(0, 1, 0), Ordering::Less);
-        assert_eq!(s.cmp_rows(0, 1, 1), Ordering::Less);
+        assert_eq!(s.row(1), [3, 4]);
+        assert_eq!(s.to_flat(), [1, 2, 3, 4, 5, 6]);
+        assert_eq!(s.nbytes(), 6 * 2, "small symbols are stored as u16");
     }
 
     #[test]
-    fn cmp_row_query_and_lcp() {
+    fn width_is_the_narrowest_that_holds_every_symbol() {
+        let narrow = StringSet::from_rows(&[vec![0, 0xFFFE]]);
+        assert!(matches!(narrow.symbols(), Symbols::U16(_)));
+        // 0xFFFF is the clamp value of the u16 tier, so it cannot be stored
+        // there.
+        for big in [0xFFFF, 0x1_0000, u64::MAX] {
+            let wide = StringSet::from_rows(&[vec![0, big]]);
+            assert!(matches!(wide.symbols(), Symbols::U64(_)), "{big:#x}");
+            assert_eq!(wide.row(0), [0, big]);
+            assert_eq!(wide.nbytes(), 2 * 8);
+        }
+        assert_eq!(u16::clamp_from(0xFFFE), 0xFFFE);
+        assert_eq!(u16::clamp_from(0x1_0000), u16::MAX);
+        assert_eq!(u16::clamp_from(u64::MAX), u16::MAX);
+        assert_eq!(u64::clamp_from(u64::MAX), u64::MAX);
+    }
+
+    #[test]
+    fn lcp_row_query_widens_the_row() {
         let s = StringSet::from_rows(&[vec![1, 2, 4, 5]]);
-        let q = [1u64, 2, 3, 4];
-        assert_eq!(s.cmp_row_query(0, &q, 0), Ordering::Greater);
-        assert_eq!(s.lcp_row_query(0, &q, 0), 2);
+        assert_eq!(s.lcp_row_query(0, &[1, 2, 3, 4], 0), 2);
+        // A query symbol no u16 row can hold matches nothing.
+        assert_eq!(s.lcp_row_query(0, &[1, 2, 0x1_0000, 5], 0), 2);
+        assert_eq!(s.lcp_row_query(0, &[1, 2, 0x1_0000, 5], 3), 3);
     }
 
     #[test]

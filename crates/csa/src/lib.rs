@@ -21,9 +21,25 @@
 //! the queue's pop order exactly, without its `log m` per step (the queue
 //! itself survives as the test oracle [`naive::k_lccs_heap_reference`]).
 //!
-//! This crate is self-contained (strings are plain `u64` symbol rows) and —
-//! as the paper notes — "potentially of separate interest": nothing in here
-//! knows about LSH.
+//! Four arrays make up the index, 11 bytes per string per rotation:
+//!
+//! | array | element | holds |
+//! |---|---|---|
+//! | the strings ([`StringSet`]) | `u16` (`u64` if a symbol is `≥ 0xFFFF`) | `n × m` symbols, row-major |
+//! | `I_s` | `u32` | ids in rotation-`s` order |
+//! | `N_s` | `u32` | position of the same string in `I_{s+1}` |
+//! | `L_s` | `u8` | LCP of neighbours in `I_s`, saturated at 255 |
+//!
+//! `L_s` is this crate's addition to the paper's structure — the adjacent-LCP
+//! array of a suffix array. Only the anchoring binary searches compare
+//! strings with the query (at the stored width, a query symbol that does not
+//! fit clamped to the width's `MAX`); a merge step takes its LCP as
+//! `min(level, L_s[j])` and reads no string, except across a saturated entry
+//! at a level above 255, which only `m > 255` can produce ([`search`]).
+//!
+//! This crate is self-contained (strings go in and come out as plain `u64`
+//! symbol rows) and — as the paper notes — "potentially of separate
+//! interest": nothing in here knows about LSH.
 //!
 //! ```
 //! use csa::{Csa, StringSet};

@@ -30,7 +30,7 @@ pub fn lccs_len(t: &[u64], q: &[u64]) -> usize {
 pub fn k_lccs_naive(set: &StringSet, q: &[u64], k: usize) -> Vec<(u32, usize)> {
     assert!(k > 0 && k <= set.len(), "k must be in 1..=n");
     let mut scored: Vec<(u32, usize)> =
-        (0..set.len()).map(|i| (i as u32, lccs_len(set.row(i), q))).collect();
+        (0..set.len()).map(|i| (i as u32, lccs_len(&set.row(i), q))).collect();
     scored.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
     scored.truncate(k);
     scored

@@ -5,6 +5,13 @@
 //! (Lemma 3.1 / Corollary 3.2) whenever both boundary LCPs are ≥ 1. The
 //! result is, per rotation `s`, the positions of `T_{l,s}` (greatest string
 //! ⪯ the rotated query) and `T_{u,s}` (least string ≻ it) plus their LCPs.
+//! This is the only phase that compares hash strings with the query, and
+//! it does so at the stored symbol width: the query is brought to that
+//! width once per call (into the [`SearchScratch`]), a symbol that does
+//! not fit clamping to the width's `MAX` — a value no stored symbol has
+//! and every stored symbol is below, as the unclamped one was
+//! ([`crate::circ`]), so anchors and candidates are those of the `u64`
+//! comparison.
 //!
 //! Phase 2 (merging): a level-bucket run merge over the `2m` anchored
 //! cursors. A cursor is filed under its current LCP against the query — its
@@ -15,9 +22,30 @@
 //! falls below the level, at which point the cursor is filed under its new,
 //! strictly lower level.
 //!
+//! **The new LCP is read, not computed.** `I_s` is sorted, and a cursor
+//! moves away from its anchor, so the query `Q`, the string `T` under the
+//! cursor and the string `T'` it steps to are in sorted order (`Q ⪯ T ⪯ T'`
+//! going up, reversed going down). For three strings in sorted order
+//! the outer LCP is the minimum of the two inner ones — the
+//! sorted-neighbour fact every suffix array's LCP array rests on — so
+//!
+//! ```text
+//! LCP(Q, T') = min(LCP(Q, T), LCP(T, T'))
+//! ```
+//!
+//! exactly. The first term is the cursor's level (Fact 3.2: it can only
+//! have fallen on the way here); the second is the entry of the
+//! adjacent-LCP array `L_s` ([`crate::build`]) between the two positions.
+//! A step therefore reads one `u32` id and one `u8` LCP, both sequentially,
+//! and never touches a hash string. `L_s` saturates at 255: when the entry
+//! reads 255 *and* the level is above 255 (possible only for `m > 255`)
+//! the minimum is not determined, and that step alone falls back to
+//! comparing `T'` with the query.
+//!
 //! This is the order Algorithm 2's max-priority-queue pops in when ties on
 //! the LCP break by `(s, pos, dir)` ascending
-//! ([`crate::naive::k_lccs_heap_reference`], the test oracle): no two
+//! ([`crate::naive::k_lccs_heap_reference`], the test oracle, which still
+//! compares strings at every step): no two
 //! cursors share `(s, dir)`; at one level the `−1` cursor of a rotation sits
 //! at smaller positions than its `+1` cursor; and a popped cursor whose LCP
 //! did not drop is the smallest key left, hence the very next pop — so the
@@ -30,7 +58,8 @@
 //! first `k` distinct objects are an exact k-LCCS answer (see
 //! `tests::matches_naive_reference`).
 
-use crate::build::Csa;
+use crate::build::{row_of, with_symbols, Csa};
+use crate::circ::{cmp_shifted, lcp_shifted, QueryBuf, Symbol};
 use std::cmp::Ordering;
 
 /// One search result: a string id and its LCCS length with the query.
@@ -68,7 +97,7 @@ impl AnchorRow {
 
 /// The per-rotation anchors of one query (stored by the multi-probe scheme
 /// to decide which rotations a perturbation can affect).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Anchors {
     rows: Vec<AnchorRow>,
 }
@@ -90,11 +119,18 @@ impl Anchors {
     }
 }
 
-/// Reusable per-query scratch: the seen-set (query-epoch stamps) and the
-/// merge's cursor table. Reusing it across queries removes all per-query
-/// allocation.
+/// Reusable per-query scratch: the query at the stored symbol width, the
+/// seen-set (query-epoch stamps) and the merge's cursor table. Reusing it
+/// across queries removes all per-query allocation.
 #[derive(Debug, Default)]
 pub struct SearchScratch {
+    query: QueryBuf,
+    cursors: Cursors,
+}
+
+/// The merge state of a [`SearchScratch`].
+#[derive(Debug, Default)]
+struct Cursors {
     stamp: Vec<u32>,
     epoch: u32,
     /// Position in `I_s` of the cursor in slot `2s` (direction −1) or
@@ -112,11 +148,14 @@ impl SearchScratch {
         let slots = 2 * csa.m();
         let words = slots.div_ceil(64);
         Self {
-            stamp: vec![0; csa.len()],
-            epoch: 0,
-            cursor: vec![0; slots],
-            levels: vec![0; (csa.m() + 1) * words],
-            words,
+            query: QueryBuf::default(),
+            cursors: Cursors {
+                stamp: vec![0; csa.len()],
+                epoch: 0,
+                cursor: vec![0; slots],
+                levels: vec![0; (csa.m() + 1) * words],
+                words,
+            },
         }
     }
 
@@ -124,22 +163,28 @@ impl SearchScratch {
     /// seen-set) and its `m` (the cursor and level tables). Searching `csa`
     /// with a scratch that does not fit is invalid.
     pub fn fits(&self, csa: &Csa) -> bool {
-        self.stamp.len() == csa.len() && self.cursor.len() == 2 * csa.m()
+        self.cursors.stamp.len() == csa.len() && self.cursors.cursor.len() == 2 * csa.m()
     }
 
     /// Starts a new logical query: clears the seen-set in O(1).
     pub fn begin_query(&mut self) {
+        self.cursors.begin_query();
+    }
+}
+
+impl Cursors {
+    fn begin_query(&mut self) {
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
             // Epoch wrapped: hard-reset stamps to keep correctness.
             self.stamp.fill(0);
             self.epoch = 1;
         }
-        self.clear_cursors();
+        self.clear();
     }
 
     /// Drops every filed cursor (the seen-set is kept).
-    fn clear_cursors(&mut self) {
+    fn clear(&mut self) {
         self.levels.fill(0);
     }
 
@@ -160,20 +205,47 @@ impl SearchScratch {
             true
         }
     }
+
+    /// Files the two boundary cursors of rotation `s`. A rotation listed
+    /// twice lands in the same two slots with the same values — the queue
+    /// would carry the copies, but a copy only ever retraces its original
+    /// over ids already seen, so the emitted list is the same.
+    fn push_anchor(&mut self, s: usize, row: AnchorRow, n: usize) {
+        if row.pos_l >= 0 {
+            self.file(2 * s, row.pos_l as usize, row.len_l as usize);
+        }
+        if (row.pos_u as usize) < n {
+            self.file(2 * s + 1, row.pos_u as usize, row.len_u as usize);
+        }
+    }
 }
 
-impl Csa {
+/// Both phases over the symbols of one CSA at their stored width `S`; `q`
+/// is the query at that width.
+struct Searcher<'a, S> {
+    csa: &'a Csa,
+    data: &'a [S],
+    q: &'a [S],
+}
+
+impl<S: Symbol> Searcher<'_, S> {
+    /// `|LCP|` of the rotation-`s` views of string `id` and the query.
+    #[inline]
+    fn lcp_with_query(&self, id: u32, s: usize) -> usize {
+        lcp_shifted(row_of(self.data, self.csa.m(), id), self.q, s)
+    }
+
     /// Full binary search of rotation `s` for the rotated query (Algorithm 2
     /// line 2 / line 9): returns the anchor row.
-    pub(crate) fn binary_search_full(&self, q: &[u64], s: usize) -> AnchorRow {
-        self.binary_search_window(q, s, 0, self.len())
+    fn binary_search_full(&self, s: usize) -> AnchorRow {
+        self.binary_search_window(s, 0, self.csa.len())
     }
 
     /// Binary search restricted to positions `[lo, hi)` of `I_s`. The window
     /// must be chosen so that the partition point lies inside `[lo, hi]`
     /// (guaranteed by Lemma 3.1 when narrowing through next links).
-    fn binary_search_window(&self, q: &[u64], s: usize, lo: usize, hi: usize) -> AnchorRow {
-        let n = self.len();
+    fn binary_search_window(&self, s: usize, lo: usize, hi: usize) -> AnchorRow {
+        let n = self.csa.len();
         debug_assert!(lo <= hi && hi <= n);
         // partition point p in [lo, hi]: count of strings with
         // shift(T, s) ⪯ shift(Q, s) among positions [lo, hi).
@@ -181,8 +253,8 @@ impl Csa {
         let mut b = hi;
         while a < b {
             let mid = a + (b - a) / 2;
-            let id = self.id_at(s, mid) as usize;
-            if self.strings().cmp_row_query(id, q, s) != Ordering::Greater {
+            let row = row_of(self.data, self.csa.m(), self.csa.id_at(s, mid));
+            if cmp_shifted(row, self.q, s) != Ordering::Greater {
                 a = mid + 1;
             } else {
                 b = mid;
@@ -191,18 +263,128 @@ impl Csa {
         let p = a as i64;
         let (pos_l, len_l) = if p > 0 {
             let pos = p - 1;
-            let id = self.id_at(s, pos as usize) as usize;
-            (pos, self.strings().lcp_row_query(id, q, s) as u32)
+            (pos, self.lcp_with_query(self.csa.id_at(s, pos as usize), s) as u32)
         } else {
             (-1, 0)
         };
         let (pos_u, len_u) = if (p as usize) < n {
-            let id = self.id_at(s, p as usize) as usize;
-            (p, self.strings().lcp_row_query(id, q, s) as u32)
+            (p, self.lcp_with_query(self.csa.id_at(s, p as usize), s) as u32)
         } else {
             (n as i64, 0)
         };
         AnchorRow { pos_l, pos_u, len_l, len_u }
+    }
+
+    /// Phase-1 anchoring for all rotations (lines 2–11 of Algorithm 2),
+    /// narrowed through the next links when `narrow`, a full binary search
+    /// per rotation otherwise.
+    fn anchor(&self, narrow: bool) -> Anchors {
+        let m = self.csa.m();
+        let mut rows: Vec<AnchorRow> = Vec::with_capacity(m);
+        for s in 0..m {
+            let row = match rows.last() {
+                Some(prev) if narrow && prev.len_l >= 1 && prev.len_u >= 1 => {
+                    // Both anchors exist (len ≥ 1 ⟹ non-sentinel); Lemma 3.1
+                    // bounds the new partition point inside [lo+1, hi].
+                    let lo = self.csa.next_at(s - 1, prev.pos_l as usize) as usize;
+                    let hi = self.csa.next_at(s - 1, prev.pos_u as usize) as usize;
+                    debug_assert!(lo < hi, "next links must preserve order");
+                    self.binary_search_window(s, lo, hi + 1)
+                }
+                _ => self.binary_search_full(s),
+            };
+            rows.push(row);
+        }
+        Anchors { rows }
+    }
+
+    /// Lines 12–15 as a run merge (module docs): levels downward, the
+    /// slots of a level in order, each cursor run until its LCP leaves the
+    /// level. Stops at the `k`-th emitted id.
+    fn drain_candidates(&self, k: usize, cursors: &mut Cursors) -> Vec<Candidate> {
+        let n = self.csa.len();
+        let mut out = Vec::with_capacity(k.min(n));
+        if k == 0 {
+            return out;
+        }
+        for level in (0..=self.csa.m()).rev() {
+            for w in 0..cursors.words {
+                // Running a cursor files only below `level`, so the word
+                // can be taken whole.
+                let mut bits = std::mem::take(&mut cursors.levels[level * cursors.words + w]);
+                while bits != 0 {
+                    let slot = w * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    let (s, up) = (slot / 2, slot % 2 == 1);
+                    let ids = &self.csa.sorted[s * n..(s + 1) * n];
+                    let lcps = &self.csa.lcp[s * n..(s + 1) * n];
+                    let mut pos = cursors.cursor[slot] as usize;
+                    loop {
+                        let id = ids[pos];
+                        if cursors.mark_new(id) {
+                            out.push(Candidate { id, len: level as u32 });
+                            if out.len() == k {
+                                return out;
+                            }
+                        }
+                        // Step outward; `adj` is the entry of L_s between
+                        // the position left and the position reached.
+                        let adj = if up {
+                            pos += 1;
+                            if pos == n {
+                                break;
+                            }
+                            lcps[pos - 1]
+                        } else {
+                            if pos == 0 {
+                                break;
+                            }
+                            pos -= 1;
+                            lcps[pos]
+                        };
+                        let len = if adj == u8::MAX && level > usize::from(u8::MAX) {
+                            // Saturated entry above its range: only the
+                            // strings can say (m > 255 only).
+                            self.lcp_with_query(ids[pos], s)
+                        } else {
+                            level.min(usize::from(adj))
+                        };
+                        debug_assert_eq!(
+                            len,
+                            self.lcp_with_query(ids[pos], s),
+                            "min(level, adjacent LCP) is the LCP with the query"
+                        );
+                        if len < level {
+                            cursors.file(slot, pos, len);
+                            break;
+                        }
+                    }
+                }
+            }
+        }
+        out
+    }
+}
+
+/// Evaluates `$body` with `$searcher` bound to a [`Searcher`] over `$csa` at
+/// its stored width, for the query `$q` (`&[u64]`) narrowed into `$buf`
+/// (`&mut QueryBuf`).
+macro_rules! with_searcher {
+    ($csa:expr, $q:expr, $buf:expr, $searcher:ident => $body:expr) => {{
+        assert_eq!($q.len(), $csa.m(), "query length must equal m");
+        let buf: &mut QueryBuf = $buf;
+        with_symbols!($csa.set, data => {
+            let $searcher = Searcher { csa: $csa, data, q: buf.narrowed($q) };
+            $body
+        })
+    }};
+}
+
+impl Csa {
+    /// Full binary search of rotation `s` for the rotated query: the
+    /// anchoring step of [`crate::naive::k_lccs_heap_reference`].
+    pub(crate) fn binary_search_full(&self, q: &[u64], s: usize) -> AnchorRow {
+        with_searcher!(self, q, &mut QueryBuf::default(), t => t.binary_search_full(s))
     }
 
     /// Phase-1 anchoring with the "simple method" of §3.2: a *full* binary
@@ -211,32 +393,12 @@ impl Csa {
     /// produce identical anchors (tested) while doing O(1)-expected work per
     /// rotation after the first.
     pub fn anchor_simple(&self, q: &[u64]) -> Anchors {
-        assert_eq!(q.len(), self.m(), "query length must equal m");
-        Anchors { rows: (0..self.m()).map(|s| self.binary_search_full(q, s)).collect() }
+        with_searcher!(self, q, &mut QueryBuf::default(), t => t.anchor(false))
     }
 
     /// Phase-1 anchoring for all rotations (lines 2–11 of Algorithm 2).
     pub fn anchor(&self, q: &[u64]) -> Anchors {
-        assert_eq!(q.len(), self.m(), "query length must equal m");
-        let m = self.m();
-        let mut rows = Vec::with_capacity(m);
-        rows.push(self.binary_search_full(q, 0));
-        for s in 1..m {
-            let prev = rows[s - 1];
-            let narrowed = prev.len_l >= 1 && prev.len_u >= 1;
-            let row = if narrowed {
-                // Both anchors exist (len ≥ 1 ⟹ non-sentinel); Lemma 3.1
-                // bounds the new partition point inside [lo+1, hi].
-                let lo = self.next_at(s - 1, prev.pos_l as usize) as usize;
-                let hi = self.next_at(s - 1, prev.pos_u as usize) as usize;
-                debug_assert!(lo < hi, "next links must preserve order");
-                self.binary_search_window(q, s, lo, hi + 1)
-            } else {
-                self.binary_search_full(q, s)
-            };
-            rows.push(row);
-        }
-        Anchors { rows }
+        with_searcher!(self, q, &mut QueryBuf::default(), t => t.anchor(true))
     }
 
     /// k-LCCS search (Algorithm 2). Returns up to `k` distinct string ids in
@@ -256,11 +418,15 @@ impl Csa {
         k: usize,
         scratch: &mut SearchScratch,
     ) -> (Vec<Candidate>, Anchors) {
-        scratch.begin_query();
-        let anchors = self.anchor(q);
-        self.seed_cursors(&anchors, scratch);
-        let out = self.drain_candidates(q, k, scratch);
-        (out, anchors)
+        let SearchScratch { query, cursors } = scratch;
+        cursors.begin_query();
+        with_searcher!(self, q, query, t => {
+            let anchors = t.anchor(true);
+            for (s, row) in anchors.rows.iter().enumerate() {
+                cursors.push_anchor(s, *row, self.len());
+            }
+            (t.drain_candidates(k, cursors), anchors)
+        })
     }
 
     /// Continues the same logical query with *additional* rotations searched
@@ -275,92 +441,14 @@ impl Csa {
         k: usize,
         scratch: &mut SearchScratch,
     ) -> Vec<Candidate> {
-        assert_eq!(q.len(), self.m(), "query length must equal m");
-        scratch.clear_cursors();
-        for &s in rotations {
-            if s >= self.m() {
-                continue;
+        let SearchScratch { query, cursors } = scratch;
+        cursors.clear();
+        with_searcher!(self, q, query, t => {
+            for &s in rotations.iter().filter(|&&s| s < self.m()) {
+                cursors.push_anchor(s, t.binary_search_full(s), self.len());
             }
-            let row = self.binary_search_full(q, s);
-            self.push_anchor(s, row, scratch);
-        }
-        self.drain_candidates(q, k, scratch)
-    }
-
-    fn seed_cursors(&self, anchors: &Anchors, scratch: &mut SearchScratch) {
-        for (s, row) in anchors.rows.iter().enumerate() {
-            self.push_anchor(s, *row, scratch);
-        }
-    }
-
-    /// Files the two boundary cursors of rotation `s`. A rotation listed
-    /// twice lands in the same two slots with the same values — the queue
-    /// would carry the copies, but a copy only ever retraces its original
-    /// over ids already seen, so the emitted list is the same.
-    fn push_anchor(&self, s: usize, row: AnchorRow, scratch: &mut SearchScratch) {
-        if row.pos_l >= 0 {
-            scratch.file(2 * s, row.pos_l as usize, row.len_l as usize);
-        }
-        if (row.pos_u as usize) < self.len() {
-            scratch.file(2 * s + 1, row.pos_u as usize, row.len_u as usize);
-        }
-    }
-
-    /// Lines 12–15 as a run merge (module docs): levels downward, the
-    /// slots of a level in order, each cursor run until its LCP leaves the
-    /// level. Stops at the `k`-th emitted id.
-    fn drain_candidates(
-        &self,
-        q: &[u64],
-        k: usize,
-        scratch: &mut SearchScratch,
-    ) -> Vec<Candidate> {
-        let n = self.len();
-        let mut out = Vec::with_capacity(k.min(n));
-        if k == 0 {
-            return out;
-        }
-        for level in (0..=self.m()).rev() {
-            for w in 0..scratch.words {
-                // Running a cursor files only below `level`, so the word
-                // can be taken whole.
-                let mut bits = std::mem::take(&mut scratch.levels[level * scratch.words + w]);
-                while bits != 0 {
-                    let slot = w * 64 + bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    let (s, up) = (slot / 2, slot % 2 == 1);
-                    let ids = &self.sorted[s * n..(s + 1) * n];
-                    let mut pos = scratch.cursor[slot] as usize;
-                    loop {
-                        let id = ids[pos];
-                        if scratch.mark_new(id) {
-                            out.push(Candidate { id, len: level as u32 });
-                            if out.len() == k {
-                                return out;
-                            }
-                        }
-                        if up {
-                            pos += 1;
-                            if pos == n {
-                                break;
-                            }
-                        } else {
-                            if pos == 0 {
-                                break;
-                            }
-                            pos -= 1;
-                        }
-                        let len = self.strings().lcp_row_query(ids[pos] as usize, q, s);
-                        debug_assert!(len <= level, "Fact 3.2: LCP cannot grow outward");
-                        if len < level {
-                            scratch.file(slot, pos, len);
-                            break;
-                        }
-                    }
-                }
-            }
-        }
-        out
+            t.drain_candidates(k, cursors)
+        })
     }
 }
 
@@ -465,7 +553,7 @@ mod tests {
                     for c in &fast {
                         assert_eq!(
                             c.len as usize,
-                            naive::lccs_len(set.row(c.id as usize), &q),
+                            naive::lccs_len(&set.row(c.id as usize), &q),
                             "id {} wrong LCCS",
                             c.id
                         );
@@ -545,7 +633,7 @@ mod tests {
     fn epoch_wraparound_resets_cleanly() {
         let csa = paper_csa();
         let mut scratch = SearchScratch::for_csa(&csa);
-        scratch.epoch = u32::MAX;
+        scratch.cursors.epoch = u32::MAX;
         let (got, _) = csa.search_with(&Q, 3, &mut scratch);
         assert_eq!(got.len(), 3);
     }
@@ -598,5 +686,108 @@ mod tests {
         ids.sort_unstable();
         assert_eq!(ids, vec![0, 1, 3]);
         assert!(got.iter().all(|c| c.len == 3));
+    }
+
+    /// The search, and a probe continuing it, against Algorithm 2's queue:
+    /// same ids, same lengths, same order.
+    fn assert_matches_heap_reference(csa: &Csa, q: &[u64], rotations: &[usize], k: usize) {
+        let all: Vec<usize> = (0..csa.m()).collect();
+        let mut scratch = SearchScratch::for_csa(csa);
+        let mut seen = vec![false; csa.len()];
+        let (fast, _) = csa.search_with(q, k, &mut scratch);
+        assert_eq!(fast, naive::k_lccs_heap_reference(csa, q, &all, k, &mut seen), "search k={k}");
+        let fast = csa.probe_rotations(q, rotations, k, &mut scratch);
+        let slow = naive::k_lccs_heap_reference(csa, q, rotations, k, &mut seen);
+        assert_eq!(fast, slow, "probe of {rotations:?} k={k}");
+    }
+
+    /// Symbols on both sides of the `u16` tier's edge. Rows draw from the
+    /// first `ROW_NARROW` (a set stored as `u16`) or from all of them (one
+    /// stored as `u64`); queries always draw from all of them, so a narrow
+    /// set meets query symbols it cannot hold — among them `0x1_0000` and
+    /// `u64::MAX`, which a truncating cast would turn into the stored
+    /// symbols `0` and (were it storable) `0xFFFF`.
+    const EDGE: [u64; 7] = [0, 1, 0xFFFE, 0xFFFF, 0x1_0000, 0x1_0001, u64::MAX];
+    const ROW_NARROW: usize = 3;
+
+    type EdgeCase = (Vec<Vec<u64>>, Vec<(Vec<u64>, Vec<usize>, usize)>);
+
+    fn edge_case() -> impl proptest::prelude::Strategy<Value = EdgeCase> {
+        use proptest::prelude::*;
+        (any::<bool>(), 1usize..=24, 1usize..=8).prop_flat_map(|(wide, n, m)| {
+            let pick = move |alphabet: usize| {
+                proptest::collection::vec(0..alphabet, m)
+                    .prop_map(|ix| ix.into_iter().map(|i| EDGE[i]).collect::<Vec<u64>>())
+            };
+            let rows = pick(if wide { EDGE.len() } else { ROW_NARROW });
+            let query = (pick(EDGE.len()), proptest::collection::vec(0..m + 2, 0..=m), 1..=n);
+            (proptest::collection::vec(rows, n), proptest::collection::vec(query, 1..=4))
+        })
+    }
+
+    proptest::proptest! {
+        /// Width selection and the clamp rule: whichever width the rows
+        /// are stored at, and whatever the query holds, searches and probes
+        /// equal the queue over widened rows and the unclamped query,
+        /// narrowed anchoring equals the simple method, and a set that fits
+        /// `u16` answers exactly as the same rows forced to `u64`.
+        #[test]
+        fn width_boundary_symbols_search_like_u64((rows, queries) in edge_case()) {
+            let (n, m) = (rows.len(), rows[0].len());
+            let flat: Vec<u64> = rows.iter().flatten().copied().collect();
+            let set = StringSet::from_flat(n, m, flat.clone());
+            let fits_u16 = flat.iter().all(|&sym| sym < 0xFFFF);
+            assert_eq!(matches!(set.symbols(), crate::circ::Symbols::U16(_)), fits_u16);
+            let csa = Csa::build(set);
+            csa.validate().unwrap();
+            let wide = Csa::build(StringSet::from_flat_wide(n, m, flat));
+            assert_eq!((&csa.sorted, &csa.next, &csa.lcp), (&wide.sorted, &wide.next, &wide.lcp));
+            for (q, rotations, k) in &queries {
+                assert_matches_heap_reference(&csa, q, rotations, *k);
+                assert_eq!(csa.anchor(q), csa.anchor_simple(q));
+                let (mut a, mut b) = (SearchScratch::for_csa(&csa), SearchScratch::for_csa(&wide));
+                assert_eq!(csa.search_with(q, *k, &mut a), wide.search_with(q, *k, &mut b));
+                assert_eq!(
+                    csa.probe_rotations(q, rotations, *k, &mut a),
+                    wide.probe_rotations(q, rotations, *k, &mut b)
+                );
+            }
+        }
+
+        /// `m = 300`: every row is one base string with a few of its first
+        /// 44 symbols flipped, so all rows share the other 256 and the
+        /// adjacent-LCP entries of the rotations around 44 saturate; a
+        /// query is the base with flips anywhere. Cursors at levels above
+        /// 255 then cross saturated entries whose true value is above the
+        /// level (the cursor keeps running), between 255 and the level (it
+        /// drops, but not to 255), and exactly 255.
+        #[test]
+        fn saturated_lcp_entries_fall_back_to_the_strings(
+            (base, flips, queries) in (
+                proptest::collection::vec(0u64..2, 300),
+                proptest::collection::vec(proptest::collection::vec(0usize..44, 0..=3), 2..=20),
+                proptest::collection::vec(
+                    (proptest::collection::vec(0usize..300, 0..=2),
+                     proptest::collection::vec(0usize..300, 0..=4),
+                     1usize..=20),
+                    1..=3,
+                ),
+            )
+        ) {
+            let flipped = |at: &[usize]| {
+                let mut row = base.clone();
+                for &p in at {
+                    row[p] ^= 1;
+                }
+                row
+            };
+            let rows: Vec<Vec<u64>> = flips.iter().map(|at| flipped(at)).collect();
+            let csa = Csa::build(StringSet::from_rows(&rows));
+            csa.validate().unwrap();
+            assert!(csa.lcp.contains(&u8::MAX), "some neighbours share more than 255 symbols");
+            for (at, rotations, k) in &queries {
+                assert_matches_heap_reference(&csa, &flipped(at), rotations, (*k).min(rows.len()));
+            }
+        }
     }
 }

@@ -5,6 +5,13 @@
 //! next links (`u32`). The format is versioned by the magic so future
 //! layouts can coexist. Round-tripping an index is how the harness measures
 //! and amortizes the paper's indexing-time axis (Figures 6–7) across runs.
+//!
+//! The payload is not the in-memory layout: symbols are written widened to
+//! `u64` whatever width they are stored at, and the adjacent-LCP array is
+//! not written at all. Decoding narrows the symbols again
+//! ([`StringSet::from_flat`]) and recomputes the LCPs from the strings and
+//! `sorted`, as [`Csa::build`] does — both are functions of what *is* in
+//! the payload, so `from_bytes(to_bytes(x)) == x`.
 
 use crate::build::Csa;
 use crate::circ::StringSet;
@@ -36,7 +43,7 @@ impl std::fmt::Display for DecodeError {
 impl std::error::Error for DecodeError {}
 
 impl Csa {
-    /// Serializes the full index (strings + both link arrays).
+    /// Serializes the index (strings as `u64` symbols + both link arrays).
     pub fn to_bytes(&self) -> Bytes {
         let n = self.len();
         let m = self.m();
@@ -45,7 +52,7 @@ impl Csa {
         buf.put_slice(MAGIC);
         buf.put_u64_le(n as u64);
         buf.put_u64_le(m as u64);
-        for &sym in self.set.as_flat() {
+        for sym in self.set.to_flat() {
             buf.put_u64_le(sym);
         }
         for &id in &self.sorted {
@@ -99,7 +106,7 @@ impl Csa {
             }
             next.push(v);
         }
-        Ok(Csa { set: StringSet::from_flat(n, m, data), sorted, next })
+        Ok(Csa::from_persisted(StringSet::from_flat(n, m, data), sorted, next))
     }
 }
 
@@ -123,6 +130,57 @@ mod tests {
         assert_eq!(back, csa);
         let q = [1u64, 2, 3, 4, 5, 6, 7, 8];
         assert_eq!(back.search(&q, 3), csa.search(&q, 3));
+    }
+
+    /// The layout, pinned by bytes rather than by a round trip: a `CSA1`
+    /// payload written out by hand for Figure 1(c)'s three strings decodes
+    /// to the value `Csa::build` gives for the same rows (derived `lcp`
+    /// array included), and re-encodes to the same bytes.
+    #[test]
+    fn hand_assembled_csa1_payload_decodes_to_the_built_index() {
+        let rows: [[u64; 8]; 3] = [
+            [1, 2, 4, 5, 6, 6, 7, 8], // o1
+            [5, 2, 2, 4, 3, 6, 7, 8], // o2
+            [3, 1, 3, 5, 5, 6, 4, 9], // o3
+        ];
+        // I_s: ids by the order of their rotation-s views, s = 0..8.
+        let sorted: [[u32; 3]; 8] =
+            [[0, 2, 1], [2, 1, 0], [1, 2, 0], [1, 2, 0], [1, 2, 0], [2, 0, 1], [2, 0, 1], [0, 1, 2]];
+        // N_s[j]: where the string at position j of I_s sits in I_{s+1}.
+        let next: [[u32; 3]; 8] =
+            [[2, 0, 1], [1, 0, 2], [0, 1, 2], [0, 1, 2], [2, 0, 1], [0, 1, 2], [2, 0, 1], [0, 2, 1]];
+        let mut raw = Vec::new();
+        raw.extend_from_slice(b"CSA1");
+        raw.extend_from_slice(&3u64.to_le_bytes());
+        raw.extend_from_slice(&8u64.to_le_bytes());
+        for sym in rows.iter().flatten() {
+            raw.extend_from_slice(&sym.to_le_bytes());
+        }
+        for v in sorted.iter().chain(&next).flatten() {
+            raw.extend_from_slice(&v.to_le_bytes());
+        }
+        assert_eq!(raw.len(), 20 + 3 * 8 * (8 + 4 + 4));
+
+        let built = sample();
+        let decoded = Csa::from_bytes(&raw[..]).unwrap();
+        decoded.validate().unwrap();
+        assert_eq!(decoded, built);
+        // L_5: o3 = [6,4,9,…] | o1 = [6,7,8,1,…] | o2 = [6,7,8,5,…].
+        assert_eq!(decoded.lcp[5 * 3..6 * 3], [1, 3, 0]);
+        assert_eq!(decoded.nbytes(), 3 * 8 * 11, "u16 symbols in memory, u64 on disk");
+        assert_eq!(built.to_bytes().to_vec(), raw);
+    }
+
+    #[test]
+    fn wide_symbols_round_trip_at_u64_width() {
+        let csa = Csa::build(StringSet::from_rows(&[
+            vec![u64::MAX, 2, 0xFFFF],
+            vec![5, 0x1_0000, 2],
+            vec![5, 2, 2],
+        ]));
+        let back = Csa::from_bytes(csa.to_bytes()).unwrap();
+        assert_eq!(back, csa);
+        assert_eq!(back.nbytes(), 3 * 3 * 17);
     }
 
     #[test]

@@ -109,7 +109,7 @@ proptest! {
         let slow = naive::k_lccs_naive(&set, &q, k);
         prop_assert_eq!(fast.len(), k);
         for c in &fast {
-            prop_assert_eq!(c.len as usize, naive::lccs_len(set.row(c.id as usize), &q));
+            prop_assert_eq!(c.len as usize, naive::lccs_len(&set.row(c.id as usize), &q));
         }
         let mut fl: Vec<u32> = fast.iter().map(|c| c.len).collect();
         let mut sl: Vec<u32> = slow.iter().map(|(_, l)| *l as u32).collect();

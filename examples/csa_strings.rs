@@ -49,7 +49,7 @@ fn main() {
             c.id,
             library[c.id as usize],
             c.len,
-            naive::lccs_len(set.row(c.id as usize), &q)
+            naive::lccs_len(&set.row(c.id as usize), &q)
         );
     }
 

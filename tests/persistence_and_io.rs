@@ -16,7 +16,7 @@ fn csa_of_real_hash_strings_roundtrips() {
     let back = Csa::from_bytes(bytes).expect("decode");
     assert_eq!(&back, idx.csa());
     // identical search behaviour
-    let q: Vec<u64> = idx.csa().strings().row(17).to_vec();
+    let q: Vec<u64> = idx.csa().strings().row(17);
     assert_eq!(back.search(&q, 5), idx.csa().search(&q, 5));
 }
 

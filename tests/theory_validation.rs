@@ -34,8 +34,8 @@ fn near_pairs_have_longer_lccs_on_real_hash_strings() {
         if far == me || far == nn {
             continue;
         }
-        near_sum += naive::lccs_len(strings.row(me), strings.row(nn));
-        far_sum += naive::lccs_len(strings.row(me), strings.row(far));
+        near_sum += naive::lccs_len(&strings.row(me), &strings.row(nn));
+        far_sum += naive::lccs_len(&strings.row(me), &strings.row(far));
         cnt += 1;
     }
     let near = near_sum as f64 / cnt as f64;
