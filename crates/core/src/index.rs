@@ -24,6 +24,18 @@ use std::time::Instant;
 /// rows are still cached when their turn comes.
 const PIPELINE_DEPTH: usize = 8;
 
+/// What the pipeline's second stage learned from a candidate's SQ8 code
+/// row, kept for the third ([`LccsLsh::verify_request`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Sq8Verdict {
+    /// The heap was not full yet (or there is no pruner): nothing read.
+    NotEvaluated,
+    /// The bound exceeded the skip threshold of that moment.
+    Prunable,
+    /// The full bound, which did not.
+    Bound(u64),
+}
+
 /// Build-time parameters of LCCS-LSH.
 #[derive(Debug, Clone)]
 pub struct LccsParams {
@@ -267,11 +279,22 @@ impl LccsLsh {
     /// requests the SQ8 code row of candidate `t`, evaluates the skip
     /// bound of candidate `t − D` (whose code row has arrived) to decide
     /// whether its f32 row is worth requesting too, and *verifies*
-    /// candidate `t − 2D`, whose rows have arrived. The first two stages
-    /// only issue prefetches (none for a candidate the filter rejects,
-    /// whose rows nobody will read); every decision is taken by the third, in
+    /// candidate `t − 2D`, whose rows have arrived. The first stage only
+    /// issues prefetches (none for a candidate the filter rejects, whose
+    /// rows nobody will read); every decision is taken by the third, in
     /// candidate order and against the k-th distance of that moment, so
     /// hits and counters are those of the plain sequential loop.
+    ///
+    /// **Each code row is read once.** The second stage's evaluation is
+    /// the only one a candidate gets: it leaves a `Sq8Verdict` in a ring
+    /// the third stage reads `D` steps later. That is sound because the
+    /// k-th distance only shrinks while the scan runs, and the skip
+    /// threshold with it: a candidate found prunable stays prunable, and
+    /// for one that was not, "does its bound exceed the threshold" is a
+    /// comparison of the recorded bound with the threshold of the later
+    /// moment — the predicate `Sq8Pruner::skips` computes, without the
+    /// row. Only a candidate that met the second stage before the heap
+    /// was full is evaluated by the third.
     ///
     /// Returns the hits and exact [`SearchStats`] counts (wall time is
     /// filled in by the caller, which owns the whole-query clock).
@@ -298,20 +321,27 @@ impl LccsLsh {
         // A candidate the filter rejects needs none of its rows: the two
         // prefetch stages pass it over.
         let wanted = |t: usize, lag: usize| stage(t, lag).filter(|&id| !filtered_out(id));
+        let mut verdicts = [Sq8Verdict::NotEvaluated; 2 * D];
         for t in 0..cands.len() + 2 * D {
             if let (Some(p), Some(id)) = (&pruner, wanted(t, 0)) {
                 p.prefetch_code_row(id as usize);
             }
             if let Some(id) = wanted(t, D) {
+                let verdict = match pruner.as_mut() {
+                    Some(p) if heap.len() == k => {
+                        match p.bound_within(id as usize, heap.peek().expect("non-empty").dist) {
+                            Some(bound) => Sq8Verdict::Bound(bound),
+                            None => Sq8Verdict::Prunable,
+                        }
+                    }
+                    _ => Sq8Verdict::NotEvaluated,
+                };
                 // Prunable now stays prunable (the k-th only shrinks), so
                 // the f32 row of such a candidate is never read.
-                let prunable = heap.len() == k
-                    && pruner.as_mut().is_some_and(|p| {
-                        p.skips(id as usize, heap.peek().expect("non-empty").dist)
-                    });
-                if !prunable {
+                if verdict != Sq8Verdict::Prunable {
                     self.data.prefetch_row(id as usize);
                 }
+                verdicts[(t - D) % (2 * D)] = verdict;
             }
             let Some(id) = stage(t, 2 * D) else { continue };
             stats.candidates_scanned += 1;
@@ -324,7 +354,14 @@ impl LccsLsh {
             // could never have pushed into the heap.
             if heap.len() == k {
                 if let Some(p) = pruner.as_mut() {
-                    if p.skips(id as usize, heap.peek().expect("non-empty").dist) {
+                    let kth = heap.peek().expect("non-empty").dist;
+                    let skip = match verdicts[(t - 2 * D) % (2 * D)] {
+                        Sq8Verdict::Prunable => true,
+                        Sq8Verdict::Bound(bound) => p.bound_skips(bound, kth),
+                        Sq8Verdict::NotEvaluated => p.skips(id as usize, kth),
+                    };
+                    debug_assert_eq!(skip, p.skips(id as usize, kth), "a recorded verdict is `skips`");
+                    if skip {
                         stats.sq8_pruned += 1;
                         continue;
                     }
@@ -599,6 +636,62 @@ mod tests {
                 }
             }
             assert_eq!(pruned > 0, idx.metric != Metric::Hamming, "{:?} pruned {pruned}", idx.metric);
+        }
+    }
+
+    /// The case the verdict ring exists for: a candidate whose bound is
+    /// taken (stage 2) while the heap holds far rows, and whose turn
+    /// (stage 3) comes after nearer rows have shrunk the k-th — the
+    /// recorded bound was within the old threshold and exceeds the new one.
+    /// Same reference as above: hits and counters of the straight-line loop.
+    #[test]
+    fn a_bound_recorded_before_the_kth_improved_is_judged_by_the_new_kth() {
+        const D: usize = PIPELINE_DEPTH;
+        let k = 3;
+        let angular = Arc::new(SynthSpec::new("a", 900, 24).with_clusters(6).generate(31).normalized());
+        for idx in [
+            LccsLsh::build(toy(900, 30), Metric::Euclidean, &LccsParams::euclidean(8.0).with_m(16)),
+            LccsLsh::build(angular, Metric::Angular, &LccsParams::angular().with_m(16)),
+        ] {
+            let q = idx.data.get(0).to_vec();
+            let mut by_dist: Vec<Neighbor> = (0..idx.data.len() as u32)
+                .map(|id| Neighbor { id, dist: idx.metric.surrogate_unchecked(idx.data.get(id as usize), &q) })
+                .collect();
+            by_dist.sort();
+            // 3D far rows fill the heap and the pipeline; the k nearest
+            // rows follow; then the candidates under test, whose stage 2
+            // runs before any near row is verified and whose stage 3 runs
+            // after all of them.
+            let far = &by_dist[by_dist.len() - 3 * D..];
+            let near = &by_dist[..k];
+            let (kth_far, kth_near) = (far[k - 1].dist, near[k - 1].dist);
+            let mut pruner = idx.pruner_for(&q).expect("both metrics prune");
+            let crossing: Vec<u32> = by_dist[k..by_dist.len() - 3 * D]
+                .iter()
+                .map(|n| n.id)
+                .filter(|&id| {
+                    pruner.bound_within(id as usize, kth_far).is_some()
+                        && pruner.skips(id as usize, kth_near)
+                })
+                .take(D - k)
+                .collect();
+            assert_eq!(crossing.len(), D - k, "{:?}: rows whose bound crosses the limit", idx.metric);
+            let cands: Vec<Candidate> = far
+                .iter()
+                .chain(near)
+                .map(|n| n.id)
+                .chain(crossing.iter().copied())
+                .map(|id| Candidate { id, len: 0 })
+                .collect();
+            let req = SearchRequest::top_k(k);
+            let (hits, stats, _) = verify_straight_line(&idx, &q, &req, &cands);
+            let (got_hits, got) = idx.verify_request(&q, &req, &cands);
+            assert_eq!(got_hits, hits);
+            assert_eq!(got_hits.iter().map(|n| n.id).collect::<Vec<_>>(), near.iter().map(|n| n.id).collect::<Vec<_>>());
+            assert_eq!(got.candidates_scanned, stats.candidates_scanned);
+            assert_eq!(got.heap_pushes, stats.heap_pushes);
+            assert_eq!(got.sq8_pruned, stats.sq8_pruned);
+            assert!(got.sq8_pruned >= crossing.len() as u64, "every crossing row is pruned");
         }
     }
 

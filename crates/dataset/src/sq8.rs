@@ -54,7 +54,7 @@ const UNIT_NORM_TOL: f64 = 1e-3;
 /// dimensions per flush: `4096 · 254² < 2³²`.
 const CHUNK: usize = 4096;
 
-/// Dimensions per early-exit block of [`code_bound_exceeds`]: small
+/// Dimensions per early-exit block of [`code_bound_within`]: small
 /// enough that most of the table is skipped after one or two blocks,
 /// large enough for the inner loop to vectorize.
 const BLOCK: usize = 16;
@@ -283,18 +283,20 @@ pub fn code_bound_sq(q: &[u8], x: &[u8]) -> u64 {
     total
 }
 
-/// Whether the certified lower bound of `code_bound_sq(q, x)` exceeds
-/// `limit` — decided block by block, bailing out as soon as the partial
-/// sum (which only ever grows) already crosses the limit. For a scan
-/// where most candidates are prunable, this touches only the first
-/// block or two of most code rows, making the bound several times
-/// cheaper than the full f32 distance it replaces.
+/// `code_bound_sq(q, x)` when it does not exceed `limit`, `None` when it
+/// does — decided block by block, bailing out as soon as the partial sum
+/// (which only ever grows) already crosses the limit. For a scan where
+/// most candidates are prunable, this touches only the first block or two
+/// of most code rows, making the bound several times cheaper than the
+/// full f32 distance it replaces; for the rest it has read the whole row
+/// and hands back the number, so a caller that will meet a smaller limit
+/// later compares the number instead of reading the row again.
 ///
-/// Exactly equivalent to `code_bound_sq(q, x) > limit`: every partial
-/// sum is a lower bound on the total, so an early `true` can never
-/// disagree with the full evaluation.
+/// Exactly `Some(b).filter(|&b| b <= limit)` for `b = code_bound_sq(q, x)`:
+/// every partial sum is a lower bound on the total, so an early `None` can
+/// never disagree with the full evaluation.
 #[inline]
-pub fn code_bound_exceeds(q: &[u8], x: &[u8], limit: u64) -> bool {
+pub fn code_bound_within(q: &[u8], x: &[u8], limit: u64) -> Option<u64> {
     debug_assert_eq!(q.len(), x.len());
     let mut acc = 0u64;
     let mut qi = q.chunks_exact(BLOCK);
@@ -307,7 +309,7 @@ pub fn code_bound_exceeds(q: &[u8], x: &[u8], limit: u64) -> bool {
         }
         acc += u64::from(block);
         if acc > limit {
-            return true;
+            return None;
         }
     }
     let mut tail = 0u32;
@@ -315,7 +317,14 @@ pub fn code_bound_exceeds(q: &[u8], x: &[u8], limit: u64) -> bool {
         let t = u16::from(a.abs_diff(b).saturating_sub(1));
         tail += u32::from(t * t);
     }
-    acc + u64::from(tail) > limit
+    Some(acc + u64::from(tail)).filter(|&bound| bound <= limit)
+}
+
+/// Whether `code_bound_sq(q, x)` exceeds `limit`
+/// ([`code_bound_within`] saying `None`).
+#[inline]
+pub fn code_bound_exceeds(q: &[u8], x: &[u8], limit: u64) -> bool {
+    code_bound_within(q, x, limit).is_none()
 }
 
 /// A per-query skip filter over one [`Sq8`] table.
@@ -373,10 +382,11 @@ impl Sq8Pruner<'_> {
         mm::prefetch_read(self.sq.code_row(row));
     }
 
-    /// Whether code row `row` is provably outside the current top-k
-    /// given the k-th surrogate distance `kth_surrogate`.
+    /// The skip threshold in squared-code units for the k-th surrogate
+    /// distance `kth_surrogate` (memoized until it changes). Monotone: a
+    /// smaller k-th never gives a larger threshold.
     #[inline]
-    pub fn skips(&mut self, row: usize, kth_surrogate: f64) -> bool {
+    fn limit_for(&mut self, kth_surrogate: f64) -> u64 {
         if kth_surrogate != self.last_kth {
             self.last_kth = kth_surrogate;
             let l = self.d2_limit(kth_surrogate) * self.inv_s2;
@@ -386,7 +396,34 @@ impl Sq8Pruner<'_> {
             // zero and start skipping everything.
             self.limit = if l.is_nan() { u64::MAX } else { l as u64 };
         }
-        code_bound_exceeds(&self.qcode, self.sq.code_row(row), self.limit)
+        self.limit
+    }
+
+    /// Whether code row `row` is provably outside the current top-k
+    /// given the k-th surrogate distance `kth_surrogate`.
+    #[inline]
+    pub fn skips(&mut self, row: usize, kth_surrogate: f64) -> bool {
+        self.bound_within(row, kth_surrogate).is_none()
+    }
+
+    /// [`Sq8Pruner::skips`] that keeps what it computed: `None` when the
+    /// row is skipped, its full certified bound (squared-code units) when
+    /// it is not. The k-th distance of a scan only shrinks, so a `None`
+    /// stays a skip for the rest of the scan, and a kept bound answers
+    /// the question again under a later k-th through
+    /// [`Sq8Pruner::bound_skips`] — the code row is read once.
+    #[inline]
+    pub fn bound_within(&mut self, row: usize, kth_surrogate: f64) -> Option<u64> {
+        let limit = self.limit_for(kth_surrogate);
+        code_bound_within(&self.qcode, self.sq.code_row(row), limit)
+    }
+
+    /// What [`Sq8Pruner::skips`] would answer for the row whose bound
+    /// [`Sq8Pruner::bound_within`] returned as `bound`, under the k-th
+    /// distance `kth_surrogate` of now.
+    #[inline]
+    pub fn bound_skips(&mut self, bound: u64, kth_surrogate: f64) -> bool {
+        bound > self.limit_for(kth_surrogate)
     }
 }
 
@@ -536,23 +573,50 @@ mod tests {
     }
 
     #[test]
-    fn code_bound_exceeds_agrees_with_the_full_bound() {
+    fn code_bound_within_agrees_with_the_full_bound() {
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(0xb10c);
-        for _ in 0..200 {
-            // Lengths straddling the early-exit block size, including
-            // the remainder-only and empty cases.
-            let dim = rng.gen_range(0..3 * BLOCK + 5);
+        // Lengths straddling the early-exit block size (the remainder-only
+        // and empty cases included), then whole blocks and a row longer
+        // than one flush chunk of `code_bound_sq`.
+        let random_dims: Vec<usize> = (0..200).map(|_| rng.gen_range(0..3 * BLOCK + 5)).collect();
+        for dim in random_dims.into_iter().chain([1, 15, 16, 17, 128, CHUNK + 1]) {
             let q: Vec<u8> = (0..dim).map(|_| rng.gen()).collect();
             let x: Vec<u8> = (0..dim).map(|_| rng.gen()).collect();
             let full = code_bound_sq(&q, &x);
             // Probe right at the decision boundary and around it.
             for limit in [0, full.saturating_sub(1), full, full + 1, u64::MAX] {
-                assert_eq!(
-                    code_bound_exceeds(&q, &x, limit),
-                    full > limit,
-                    "dim {dim} full {full} limit {limit}"
-                );
+                let want = (full <= limit).then_some(full);
+                assert_eq!(code_bound_within(&q, &x, limit), want, "dim {dim} full {full} limit {limit}");
+                assert_eq!(code_bound_exceeds(&q, &x, limit), full > limit);
+            }
+        }
+    }
+
+    #[test]
+    fn a_kept_bound_answers_like_a_fresh_evaluation() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xb0a7);
+        let (dim, n) = (20, 60);
+        let flat: Vec<f32> = (0..n * dim).map(|_| rng.gen_range(-4.0..4.0)).collect();
+        let sq = Sq8::train(&flat, dim);
+        let q: Vec<f32> = (0..dim).map(|_| rng.gen_range(-4.0..4.0)).collect();
+        let mut p = sq.pruner(&q, Metric::Euclidean).expect("non-constant table");
+        let dists: Vec<f64> =
+            flat.chunks_exact(dim).map(|row| metric::squared_euclidean(row, &q)).collect();
+        for row in 0..n {
+            for &early in &dists {
+                let kept = p.bound_within(row, early);
+                assert_eq!(kept.is_none(), p.skips(row, early));
+                // Any later k-th is no larger than the one the bound was
+                // taken under.
+                for &late in dists.iter().filter(|&&d| d <= early) {
+                    let fresh = p.skips(row, late);
+                    match kept {
+                        None => assert!(fresh, "a skip stays a skip as the k-th shrinks"),
+                        Some(b) => assert_eq!(p.bound_skips(b, late), fresh),
+                    }
+                }
             }
         }
     }
