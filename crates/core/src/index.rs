@@ -328,12 +328,9 @@ impl LccsLsh {
             }
             if let Some(id) = wanted(t, D) {
                 let verdict = match pruner.as_mut() {
-                    Some(p) if heap.len() == k => {
-                        match p.bound_within(id as usize, heap.peek().expect("non-empty").dist) {
-                            Some(bound) => Sq8Verdict::Bound(bound),
-                            None => Sq8Verdict::Prunable,
-                        }
-                    }
+                    Some(p) if heap.len() == k => p
+                        .bound_within(id as usize, heap.peek().expect("non-empty").dist)
+                        .map_or(Sq8Verdict::Prunable, Sq8Verdict::Bound),
                     _ => Sq8Verdict::NotEvaluated,
                 };
                 // Prunable now stays prunable (the k-th only shrinks), so

@@ -23,19 +23,7 @@
 //! i.i.d. symbols; `L_s` is filled right after `I_s` is sorted, on the same
 //! thread, for `n` more comparisons per rotation.
 
-use crate::circ::{cmp_shifted, lcp_shifted, StringSet, Symbol};
-
-/// Evaluates `$body` with `$data` bound to the symbols of `$set` at their
-/// stored width: one body, compiled once per width.
-macro_rules! with_symbols {
-    ($set:expr, $data:ident => $body:expr) => {
-        match $set.symbols() {
-            $crate::circ::Symbols::U16($data) => $body,
-            $crate::circ::Symbols::U64($data) => $body,
-        }
-    };
-}
-pub(crate) use with_symbols;
+use crate::circ::{cmp_shifted, lcp_shifted, with_symbols, StringSet, Symbol};
 
 /// The Circular Shift Array over a [`StringSet`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -107,7 +95,7 @@ impl Csa {
         // adjacent LCPs of the sorted order while its rows are still warm.
         let mut sorted = vec![0u32; m * n];
         let mut lcp = vec![0u8; m * n];
-        with_symbols!(set, data => for_each_rotation(n, &mut sorted, &mut lcp, |s, ids, lcps| {
+        with_symbols!(set.symbols(), data => for_each_rotation(n, &mut sorted, &mut lcp, |s, ids, lcps| {
             for (j, v) in ids.iter_mut().enumerate() {
                 *v = j as u32;
             }
@@ -138,7 +126,7 @@ impl Csa {
     pub(crate) fn from_persisted(set: StringSet, mut sorted: Vec<u32>, next: Vec<u32>) -> Self {
         let (n, m) = (set.len(), set.m());
         let mut lcp = vec![0u8; m * n];
-        with_symbols!(set, data => for_each_rotation(n, &mut sorted, &mut lcp, |s, ids, lcps| {
+        with_symbols!(set.symbols(), data => for_each_rotation(n, &mut sorted, &mut lcp, |s, ids, lcps| {
             adjacent_lcps(data, m, s, ids, lcps);
         }));
         Self { set, sorted, next, lcp }

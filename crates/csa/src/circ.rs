@@ -21,7 +21,7 @@ use std::cmp::Ordering;
 
 /// A stored symbol type: `u16` or `u64`. The search and build code is
 /// written once over it.
-pub(crate) trait Symbol: Copy + Ord + Send + Sync + std::fmt::Debug + 'static {
+pub(crate) trait Symbol: Copy + Ord + Into<u64> + Send + Sync + std::fmt::Debug + 'static {
     /// Brings a `u64` symbol to this width, clamping what does not fit to
     /// the width's `MAX` (module docs: the clamp rule).
     fn clamp_from(sym: u64) -> Self;
@@ -70,6 +70,11 @@ impl QueryBuf {
     }
 }
 
+/// `data` as `u64` symbols.
+pub(crate) fn widened<S: Symbol>(data: &[S]) -> impl Iterator<Item = u64> + '_ {
+    data.iter().map(|&sym| sym.into())
+}
+
 /// Row-major symbols at their stored width.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum Symbols {
@@ -78,6 +83,18 @@ pub(crate) enum Symbols {
     /// Anything else.
     U64(Vec<u64>),
 }
+
+/// Evaluates `$body` with `$data` bound to the buffer of `$symbols`
+/// (`&Symbols`), whichever width it has: one body, compiled once per width.
+macro_rules! with_symbols {
+    ($symbols:expr, $data:ident => $body:expr) => {
+        match $symbols {
+            $crate::circ::Symbols::U16($data) => $body,
+            $crate::circ::Symbols::U64($data) => $body,
+        }
+    };
+}
+pub(crate) use with_symbols;
 
 /// A set of `n` strings of identical length `m`, stored row-major in one
 /// flat allocation at the narrowest symbol width that holds them (module
@@ -113,10 +130,7 @@ impl StringSet {
 
     fn from_symbols(n: usize, m: usize, symbols: Symbols) -> Self {
         assert!(m > 0, "string length m must be positive");
-        let len = match &symbols {
-            Symbols::U16(d) => d.len(),
-            Symbols::U64(d) => d.len(),
-        };
+        let len = with_symbols!(&symbols, data => data.len());
         assert_eq!(len, n * m, "buffer must hold exactly n*m symbols");
         Self { n, m, symbols }
     }
@@ -160,27 +174,12 @@ impl StringSet {
     /// tests, oracles and tools; the search never widens a row.
     pub fn row(&self, i: usize) -> Vec<u64> {
         let span = i * self.m..(i + 1) * self.m;
-        match &self.symbols {
-            Symbols::U16(d) => d[span].iter().map(|&sym| u64::from(sym)).collect(),
-            Symbols::U64(d) => d[span].to_vec(),
-        }
+        with_symbols!(&self.symbols, data => widened(&data[span]).collect())
     }
 
     /// Bytes of symbol storage (for index-size accounting).
     pub fn nbytes(&self) -> usize {
-        match &self.symbols {
-            Symbols::U16(d) => std::mem::size_of_val(d.as_slice()),
-            Symbols::U64(d) => std::mem::size_of_val(d.as_slice()),
-        }
-    }
-
-    /// Every row, widened to `u64` symbols, in one row-major buffer (what
-    /// the `CSA1` payload stores).
-    pub fn to_flat(&self) -> Vec<u64> {
-        match &self.symbols {
-            Symbols::U16(d) => d.iter().map(|&sym| u64::from(sym)).collect(),
-            Symbols::U64(d) => d.clone(),
-        }
+        with_symbols!(&self.symbols, data => std::mem::size_of_val(data.as_slice()))
     }
 
     /// `|LCP(shift(row_i, s), shift(q, s))|`, capped at `m`, on a widened
@@ -292,7 +291,6 @@ mod tests {
         assert_eq!(s.len(), 3);
         assert_eq!(s.m(), 2);
         assert_eq!(s.row(1), [3, 4]);
-        assert_eq!(s.to_flat(), [1, 2, 3, 4, 5, 6]);
         assert_eq!(s.nbytes(), 6 * 2, "small symbols are stored as u16");
     }
 

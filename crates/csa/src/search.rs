@@ -58,8 +58,8 @@
 //! first `k` distinct objects are an exact k-LCCS answer (see
 //! `tests::matches_naive_reference`).
 
-use crate::build::{row_of, with_symbols, Csa};
-use crate::circ::{cmp_shifted, lcp_shifted, QueryBuf, Symbol};
+use crate::build::{row_of, Csa};
+use crate::circ::{cmp_shifted, lcp_shifted, with_symbols, QueryBuf, Symbol};
 use std::cmp::Ordering;
 
 /// One search result: a string id and its LCCS length with the query.
@@ -373,7 +373,7 @@ macro_rules! with_searcher {
     ($csa:expr, $q:expr, $buf:expr, $searcher:ident => $body:expr) => {{
         assert_eq!($q.len(), $csa.m(), "query length must equal m");
         let buf: &mut QueryBuf = $buf;
-        with_symbols!($csa.set, data => {
+        with_symbols!($csa.set.symbols(), data => {
             let $searcher = Searcher { csa: $csa, data, q: buf.narrowed($q) };
             $body
         })

@@ -14,7 +14,7 @@
 //! the payload, so `from_bytes(to_bytes(x)) == x`.
 
 use crate::build::Csa;
-use crate::circ::StringSet;
+use crate::circ::{widened, with_symbols, StringSet};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 const MAGIC: &[u8; 4] = b"CSA1";
@@ -52,9 +52,7 @@ impl Csa {
         buf.put_slice(MAGIC);
         buf.put_u64_le(n as u64);
         buf.put_u64_le(m as u64);
-        for sym in self.set.to_flat() {
-            buf.put_u64_le(sym);
-        }
+        with_symbols!(self.set.symbols(), data => widened(data).for_each(|sym| buf.put_u64_le(sym)));
         for &id in &self.sorted {
             buf.put_u32_le(id);
         }

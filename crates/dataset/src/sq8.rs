@@ -38,6 +38,18 @@
 //! the surviving set always contains the exact f32 top-k, and results
 //! stay bit-identical to the unquantized scan (pinned by proptests).
 //!
+//! # One evaluation per candidate
+//!
+//! The bound of a row does not depend on the k-th distance; only the
+//! threshold it is compared with does, and over one scan that threshold
+//! only shrinks. So a loop that looks at a candidate twice — once to
+//! decide on a prefetch, once to decide for real — reads the code row
+//! once: [`Sq8Pruner::bound_within`] either says "skipped" (and a row
+//! skipped under a larger threshold is skipped under every later one)
+//! or hands back the full bound, which [`Sq8Pruner::bound_skips`]
+//! compares with the later threshold. Both answers are, by
+//! construction, what [`Sq8Pruner::skips`] would say at that moment.
+//!
 //! Angular queries prune through the chord identity
 //! `‖x − q‖² = 2 − 2·cos θ` — valid only on the unit sphere, so the
 //! pruner activates only when every encoded row and the query are

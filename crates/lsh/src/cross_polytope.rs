@@ -168,25 +168,41 @@ impl LshFunction for CrossPolytope {
     /// is `max_coord − |y_i|` (0 for the best alternative), matching
     /// FALCONN's log-likelihood-style ordering up to monotone transform.
     fn alternatives(&self, v: &[f32], max_alts: usize) -> Vec<ScoredAlt> {
-        let y = self.rotate(v);
-        let norm = dataset::metric::norm(&y).max(1e-30);
-        let mut scored: Vec<ScoredAlt> = Vec::with_capacity(2 * y.len());
-        let mut best_abs = 0.0f64;
-        for &x in &y {
-            best_abs = best_abs.max(f64::from(x.abs()));
-        }
-        for (i, &x) in y.iter().enumerate() {
-            let xi = f64::from(x) / norm;
-            // vertex +e_i at distance² 2 − 2·xi ; vertex −e_i at 2 + 2·xi.
-            scored.push(ScoredAlt { symbol: vertex_to_symbol(i, false), score: 2.0 - 2.0 * xi });
-            scored.push(ScoredAlt { symbol: vertex_to_symbol(i, true), score: 2.0 + 2.0 * xi });
-        }
-        scored.sort_by(|a, b| a.score.total_cmp(&b.score));
-        // The first entry is the base hash itself; drop it.
-        scored.remove(0);
-        scored.truncate(max_alts);
-        scored
+        nearest_alternatives(vertex_scores(&self.rotate(v)), max_alts)
     }
+}
+
+/// Every vertex of the polytope scored by its squared distance to the
+/// rotated query `y` (normalized), in symbol order.
+fn vertex_scores(y: &[f32]) -> Vec<ScoredAlt> {
+    let norm = dataset::metric::norm(y).max(1e-30);
+    let mut scored: Vec<ScoredAlt> = Vec::with_capacity(2 * y.len());
+    for (i, &x) in y.iter().enumerate() {
+        let xi = f64::from(x) / norm;
+        // vertex +e_i at distance² 2 − 2·xi ; vertex −e_i at 2 + 2·xi.
+        scored.push(ScoredAlt { symbol: vertex_to_symbol(i, false), score: 2.0 - 2.0 * xi });
+        scored.push(ScoredAlt { symbol: vertex_to_symbol(i, true), score: 2.0 + 2.0 * xi });
+    }
+    scored
+}
+
+/// The `max_alts` best-scored vertices after the best one (the base hash
+/// itself), ascending by score, equal scores by symbol — the list a stable
+/// sort of [`vertex_scores`]' symbol-ordered output would begin with, found
+/// by selecting the `max_alts + 1` smallest and sorting only those.
+fn nearest_alternatives(mut scored: Vec<ScoredAlt>, max_alts: usize) -> Vec<ScoredAlt> {
+    let rank = |a: &ScoredAlt, b: &ScoredAlt| {
+        a.score.total_cmp(&b.score).then(a.symbol.cmp(&b.symbol))
+    };
+    if max_alts < scored.len() {
+        scored.select_nth_unstable_by(max_alts, rank);
+        scored.truncate(max_alts + 1);
+    }
+    scored.sort_unstable_by(rank);
+    // The first entry is the base hash itself; drop it.
+    scored.remove(0);
+    scored.truncate(max_alts);
+    scored
 }
 
 #[cfg(test)]
@@ -290,5 +306,40 @@ mod tests {
         let nv = dataset::metric::norm(&f.rotate(&v));
         let nu = dataset::metric::norm(&f.rotate(&u));
         assert!((nv - nu).abs() / nv < 1e-5);
+    }
+
+    /// A rotated query: random coordinates, coordinates drawn from a few
+    /// magnitudes (so `|y_i|` repeats and scores tie, across signs too),
+    /// or the zero vector (every score equal).
+    fn rotated() -> impl proptest::prelude::Strategy<Value = Vec<f32>> {
+        use proptest::prelude::*;
+        (0usize..3, 0usize..=4).prop_flat_map(|(kind, log_len)| {
+            let len = 1 << log_len;
+            (
+                proptest::collection::vec(-1.0f32..1.0, len),
+                proptest::collection::vec(-2i32..=2, len),
+            )
+                .prop_map(move |(random, small)| match kind {
+                    0 => random,
+                    1 => small.into_iter().map(|x| x as f32).collect(),
+                    _ => vec![0.0; len],
+                })
+        })
+    }
+
+    proptest::proptest! {
+        /// Select-then-sort keeps exactly what the full stable sort kept,
+        /// for every `max_alts` from none to more than there are.
+        #[test]
+        fn nearest_alternatives_equal_the_full_stable_sort(y in rotated()) {
+            let scored = vertex_scores(&y);
+            let mut sorted = scored.clone();
+            sorted.sort_by(|a, b| a.score.total_cmp(&b.score));
+            sorted.remove(0);
+            for max_alts in 0..=scored.len() {
+                let want = &sorted[..max_alts.min(sorted.len())];
+                proptest::prop_assert_eq!(nearest_alternatives(scored.clone(), max_alts), want);
+            }
+        }
     }
 }

@@ -9,6 +9,12 @@ build:
 test:
     cargo test -q --release --workspace
 
+# The query-path crates in the debug profile: the only place the merge's
+# and the verifier's `debug_assert`s (recorded LCP / SQ8 verdict equals
+# the recomputed one) run, since `test` is --release.
+test-debug:
+    cargo test -q -p csa -p lccs_lsh -p dataset -p ann-live
+
 # Lint like CI does.
 clippy:
     cargo clippy --workspace --all-targets -- -D warnings
